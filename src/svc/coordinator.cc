@@ -1,7 +1,6 @@
 #include "svc/coordinator.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -15,6 +14,7 @@
 
 #include "common/log.h"
 #include "sim/sweep.h"
+#include "svc/net.h"
 #include "svc/protocol.h"
 
 namespace bh::svc {
@@ -29,13 +29,6 @@ nowMs()
             // bh-audit: skip(clock) -- lease wall-clock, outside the deterministic core
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-}
-
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 /** Format a double without trailing-zero noise for /metrics. */
@@ -82,7 +75,7 @@ SweepCoordinator::SweepCoordinator(CoordinatorOptions opts,
         std::string key = experimentKey(config);
         unitByKey.emplace(key, units.size());
         units.push_back(Unit{std::move(config), std::move(key),
-                             Unit::State::kPending, -1, 0, 0});
+                             Unit::State::kPending, -1, 0, 0, 0});
     }
 }
 
@@ -97,6 +90,12 @@ SweepCoordinator::~SweepCoordinator()
 bool
 SweepCoordinator::start(std::string *error)
 {
+    if (wake.fd() < 0) {
+        if (error)
+            *error = "cannot create the wake descriptor";
+        return false;
+    }
+
     // Warm units resolve before anything is leased: a store that already
     // holds a point's record never re-simulates it, on any machine.
     for (std::size_t i = 0; i < units.size(); ++i) {
@@ -182,13 +181,14 @@ SweepCoordinator::serve(std::string *error)
 
         std::vector<pollfd> fds;
         fds.push_back(pollfd{listenFd, POLLIN, 0});
+        fds.push_back(pollfd{wake.fd(), POLLIN, 0}); // requestStop().
         for (auto &entry : conns) {
             short events = POLLIN;
             if (!entry.second.out.empty())
                 events |= POLLOUT;
             fds.push_back(pollfd{entry.second.fd, events, 0});
         }
-        int timeout = 200; // Lease sweeps + stop checks stay responsive.
+        int timeout = 200; // Lease-expiry sweeps stay responsive.
         int ready = ::poll(fds.data(), fds.size(), timeout);
         if (ready < 0 && errno != EINTR) {
             if (error)
@@ -198,10 +198,12 @@ SweepCoordinator::serve(std::string *error)
 
         if (fds[0].revents & POLLIN)
             acceptClients();
+        if (fds[1].revents & POLLIN)
+            wake.drain();
 
         // Collect fds first: handlers may close (erase) connections.
         std::vector<int> readable, writable, broken;
-        for (std::size_t i = 1; i < fds.size(); ++i) {
+        for (std::size_t i = 2; i < fds.size(); ++i) {
             if (fds[i].revents & (POLLERR | POLLHUP | POLLNVAL)) {
                 // POLLHUP can still deliver buffered bytes; read first
                 // and let the 0-byte read close it.
@@ -244,6 +246,7 @@ SweepCoordinator::acceptClients()
         if (fd < 0)
             return; // EAGAIN (or transient error): nothing more now.
         setNonBlocking(fd);
+        setNoDelay(fd);
         Conn conn;
         conn.fd = fd;
         conn.connectedAtMs = nowMs();
@@ -418,6 +421,9 @@ SweepCoordinator::handleMessage(Conn &conn, const JsonValue &msg)
         }
         ++ingested;
         ++conn.resultsIngested;
+        // A result for a unit that was never leased (a peer that worked
+        // out the key itself) counts as zero: every ingest is observed.
+        observeLease(unit.leasedAtMs == 0 ? 0 : nowMs() - unit.leasedAtMs);
         conn.leased.erase(unit.key);
         noteDone(it->second);
         return;
@@ -541,7 +547,8 @@ SweepCoordinator::grantLeases()
         Unit &unit = units[index];
         unit.state = Unit::State::kLeased;
         unit.owner = fd;
-        unit.deadlineMs = nowMs() + options.leaseTimeoutMs;
+        unit.leasedAtMs = nowMs();
+        unit.deadlineMs = unit.leasedAtMs + options.leaseTimeoutMs;
         conn.leased.insert(unit.key);
         sendFrame(conn,
                   makeLease(unit.key, unit.config, options.leaseTimeoutMs));
@@ -659,6 +666,20 @@ SweepCoordinator::metricsText() const
     out += "bh_sweep_workers_connected " + std::to_string(workers) + "\n";
     out += "bh_sweep_elapsed_seconds " + metric(elapsed) + "\n";
     out += "bh_sweep_eta_seconds " + metric(eta) + "\n";
+    out += "# TYPE bh_sweep_lease_seconds histogram\n";
+    std::size_t cumulative = 0;
+    for (std::size_t i = 0; i < leaseBuckets.size(); ++i) {
+        cumulative += leaseBuckets[i];
+        std::string le = i < kLeaseBucketBounds.size()
+                             ? metric(kLeaseBucketBounds[i])
+                             : std::string("+Inf");
+        out += "bh_sweep_lease_seconds_bucket{le=\"" + le + "\"} " +
+               std::to_string(cumulative) + "\n";
+    }
+    out += "bh_sweep_lease_seconds_sum " +
+           metric(static_cast<double>(leaseMsSum) / 1000.0) + "\n";
+    out += "bh_sweep_lease_seconds_count " + std::to_string(cumulative) +
+           "\n";
     for (const auto &entry : conns) {
         const Conn &conn = entry.second;
         if (conn.kind != Conn::Kind::kFramed || !conn.helloDone)
@@ -676,6 +697,17 @@ SweepCoordinator::metricsText() const
                promLabel(label) + "\"} " + metric(throughput) + "\n";
     }
     return out;
+}
+
+void
+SweepCoordinator::observeLease(std::uint64_t heldMs)
+{
+    std::size_t bucket = 0;
+    while (bucket < kLeaseBucketBounds.size() &&
+           static_cast<double>(heldMs) > kLeaseBucketBounds[bucket] * 1000.0)
+        ++bucket;
+    ++leaseBuckets[bucket];
+    leaseMsSum += heldMs;
 }
 
 void

@@ -27,12 +27,14 @@
  * plain HTTP (the first bytes of a connection distinguish "GET " from a
  * frame header): `/progress` returns a JSON progress document and
  * `/metrics` a Prometheus-style text page (leases outstanding/expired,
- * records ingested, per-worker throughput, ETA). Metrics snapshots are
+ * records ingested, per-worker throughput, ETA, and a histogram of the
+ * time from lease grant to ingested result). Metrics snapshots are
  * published under a mutex so tests and embedders can read them from
  * other threads.
  */
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -44,6 +46,7 @@
 
 #include "sim/result_store.h"
 #include "svc/frame.h"
+#include "svc/net.h"
 
 namespace bh::svc {
 
@@ -126,8 +129,12 @@ class SweepCoordinator
      */
     bool serve(std::string *error);
 
-    /** Ask a serve() running on another thread to wind down. */
-    void requestStop() { stopRequested.store(true); }
+    /** Ask a serve() running on another thread to wind down at once. */
+    void requestStop()
+    {
+        stopRequested.store(true);
+        wake.signal();
+    }
 
     /** Thread-safe counter snapshot (tests, embedders). */
     CoordinatorMetrics metrics() const;
@@ -146,6 +153,7 @@ class SweepCoordinator
         int owner = -1; ///< Conn fd holding the lease.
         std::uint64_t deadlineMs = 0;
         unsigned expiries = 0;
+        std::uint64_t leasedAtMs = 0; ///< Last grant; 0 = never leased.
     };
 
     struct Conn
@@ -184,6 +192,7 @@ class SweepCoordinator
     void grantLeases();
     void sweepExpiredLeases();
     void noteDone(std::size_t index);
+    void observeLease(std::uint64_t heldMs);
     void publishMetrics();
     std::string progressJson() const;
     std::string metricsText() const;
@@ -208,7 +217,19 @@ class SweepCoordinator
     std::uint64_t startedAtMs = 0;
     std::uint64_t completedAtMs = 0; ///< 0 = still running.
 
+    /**
+     * bh_sweep_lease_seconds: time from lease grant to ingested result,
+     * one observation per ingest. Fixed upper bounds in seconds; the
+     * last count is the +Inf bucket.
+     */
+    static constexpr std::array<double, 15> kLeaseBucketBounds = {
+        0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+        2.5,   5.0,  10.0,  30.0, 60.0, 120.0, 300.0};
+    std::array<std::size_t, kLeaseBucketBounds.size() + 1> leaseBuckets{};
+    std::uint64_t leaseMsSum = 0;
+
     std::atomic<bool> stopRequested{false};
+    WakeFd wake; ///< Wakes serve()'s poll on requestStop().
     mutable std::mutex metricsMutex;
     CoordinatorMetrics published;
 };

@@ -1,7 +1,6 @@
 #include "svc/worker.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -60,8 +59,11 @@ void
 SweepWorker::queueFrame(const JsonValue &msg)
 {
     std::string frame = encodeFrame(msg.dump());
-    std::lock_guard<std::mutex> lock(outboxMutex);
-    outbox.push_back(std::move(frame));
+    {
+        std::lock_guard<std::mutex> lock(outboxMutex);
+        outbox.push_back(std::move(frame));
+    }
+    wake.signal();
 }
 
 void
@@ -107,6 +109,10 @@ SweepWorker::computeLoop()
             std::lock_guard<std::mutex> lock(workMutex);
             --inflight;
         }
+        // Again after the slot is free: the I/O thread may have acted
+        // on the queued result before the decrement, and it asks for
+        // the next lease only when it sees a free slot.
+        wake.signal();
     }
 }
 
@@ -146,8 +152,8 @@ SweepWorker::connectOnce(std::string *error)
 bool
 SweepWorker::serveConnection(int fd, std::string *error)
 {
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    setNonBlocking(fd);
+    setNoDelay(fd);
 
     FrameReader reader;
     std::string sendBuf = encodeFrame(makeHello(
@@ -195,14 +201,20 @@ SweepWorker::serveConnection(int fd, std::string *error)
                 return true; // Every duplicate result flushed too.
         }
 
-        pollfd pfd{fd, POLLIN, 0};
+        // No timeout: every state change checked above either arrives
+        // on the socket or signals the wake descriptor.
+        pollfd fds[2] = {{fd, POLLIN, 0}, {wake.fd(), POLLIN, 0}};
+        pollfd &pfd = fds[0];
         if (!sendBuf.empty())
             pfd.events |= POLLOUT;
-        int ready = ::poll(&pfd, 1, 100);
+        int ready = ::poll(fds, 2, -1);
         if (ready < 0 && errno != EINTR)
             return false;
         if (ready <= 0)
             continue;
+        // Drain before the loop re-reads the state (see svc/net.h).
+        if (fds[1].revents & POLLIN)
+            wake.drain();
         if (pfd.revents & (POLLERR | POLLNVAL))
             return false;
         if (!(pfd.revents & POLLIN)) {
@@ -281,6 +293,12 @@ SweepWorker::serveConnection(int fd, std::string *error)
 bool
 SweepWorker::run(std::string *error)
 {
+    if (wake.fd() < 0) {
+        if (error != nullptr)
+            *error = "cannot create the wake descriptor";
+        return false;
+    }
+
     // Route this worker's solo computes and mid-run progress to the
     // coordinator. Both callbacks are stateless trampolines over the
     // thread-locals (see top of file) — safe to reinstall per worker.

@@ -25,6 +25,13 @@
  * coordinator hiccup. A result that IS lost in flight is covered by the
  * lease deadline: the coordinator requeues the unit and some worker —
  * possibly this one, from its snapshot — redoes it.
+ *
+ * The I/O thread sleeps in poll() on the socket and a WakeFd, with no
+ * timeout. Every other thread signals the WakeFd after each change the
+ * I/O thread acts on: a queued frame, a freed compute slot, a stop
+ * request. A finished unit signals after it releases its slot
+ * (`--inflight`), or the I/O thread could wake, find no free slot, and
+ * sleep again without asking for the next lease.
  */
 #pragma once
 
@@ -39,6 +46,7 @@
 
 #include "sim/experiment.h"
 #include "svc/frame.h"
+#include "svc/net.h"
 
 namespace bh::svc {
 
@@ -81,8 +89,16 @@ class SweepWorker
      */
     bool run(std::string *error);
 
-    /** Ask a run() on another thread to wind down at the next poll. */
-    void requestStop() { stopRequested.store(true); }
+    /**
+     * Ask a run() on another thread to wind down. A connected worker
+     * stops at once; one waiting out a reconnect backoff stops when the
+     * backoff ends.
+     */
+    void requestStop()
+    {
+        stopRequested.store(true);
+        wake.signal();
+    }
 
     /** Units this worker simulated and reported. */
     std::size_t completedUnits() const { return completedCount.load(); }
@@ -126,6 +142,9 @@ class SweepWorker
     // Outbox of encoded frames (compute threads push, I/O thread sends).
     std::mutex outboxMutex;
     std::deque<std::string> outbox;
+
+    /** Wakes the I/O thread's poll (see file comment). */
+    WakeFd wake;
 
     std::atomic<bool> stopRequested{false};
     std::atomic<bool> doneReceived{false};

@@ -9,7 +9,10 @@
  * produces a store byte-identical to a local run of the same grid, a
  * client that takes a lease and goes silent forfeits it at the deadline,
  * and a client that drops its connection forfeits immediately — in both
- * cases the unit is re-leased and the sweep still completes.
+ * cases the unit is re-leased and the sweep still completes. Latency
+ * tests pin the event-driven I/O loops: requestStop() wakes an idle
+ * worker and the coordinator at once, and a short unit costs the service
+ * a round trip, not a poll timeout.
  */
 #include <gtest/gtest.h>
 
@@ -18,9 +21,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "sim/experiment.h"
@@ -225,100 +231,7 @@ experimentLines(const std::string &dir)
     return lines;
 }
 
-TEST(SweepServiceTest, TwoWorkersReproduceTheLocalStoreByteForByte)
-{
-    std::vector<ExperimentConfig> grid = loopbackGrid();
-
-    // Ground truth: a local single-process run of the same grid.
-    std::string local_dir = freshDir("local");
-    std::string local_json;
-    {
-        ResultStore local(2);
-        std::string error;
-        ASSERT_TRUE(local.open(local_dir, &error)) << error;
-        local.prefetch(grid);
-        local_json = local.toJson().dump();
-    }
-
-    std::string svc_dir = freshDir("svc");
-    ResultStore store(1);
-    std::string error;
-    ASSERT_TRUE(store.open(svc_dir, &error)) << error;
-
-    CoordinatorOptions copts;
-    copts.port = 0; // Ephemeral: tests never collide on a port.
-    copts.leaseTimeoutMs = 60000;
-    SweepCoordinator coordinator(copts, &store, grid);
-    ASSERT_TRUE(coordinator.start(&error)) << error;
-    EXPECT_EQ(coordinator.metrics().unitsTotal, 3u); // Dedup applied.
-
-    std::thread serve([&] {
-        std::string serve_error;
-        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
-    });
-
-    auto run_worker = [&](const char *name, bool *ok) {
-        WorkerOptions wopts;
-        wopts.port = coordinator.port();
-        wopts.jobs = 1;
-        wopts.name = name;
-        SweepWorker worker(wopts);
-        std::string worker_error;
-        *ok = worker.run(&worker_error);
-        EXPECT_TRUE(*ok) << worker_error;
-    };
-    bool ok1 = false, ok2 = false;
-    std::thread w1(run_worker, "w1", &ok1);
-    std::thread w2(run_worker, "w2", &ok2);
-    w1.join();
-    w2.join();
-    serve.join();
-    EXPECT_TRUE(ok1);
-    EXPECT_TRUE(ok2);
-
-    CoordinatorMetrics m = coordinator.metrics();
-    EXPECT_TRUE(m.complete);
-    EXPECT_EQ(m.unitsDone, 3u);
-    EXPECT_EQ(m.recordsIngested, 3u);
-    EXPECT_EQ(m.unitsWarm, 0u);
-    EXPECT_EQ(m.leasesOutstanding, 0u);
-
-    // The distributed run's export and on-disk experiment records are
-    // byte-identical to the local run's.
-    EXPECT_EQ(store.toJson().dump(), local_json);
-    std::vector<std::string> svc_lines = experimentLines(svc_dir);
-    EXPECT_EQ(svc_lines, experimentLines(local_dir));
-    EXPECT_EQ(svc_lines.size(), 3u);
-}
-
-TEST(SweepServiceTest, WarmCoordinatorLeasesNothing)
-{
-    std::vector<ExperimentConfig> grid = loopbackGrid();
-    std::string dir = freshDir("warm");
-    {
-        ResultStore cold(2);
-        std::string error;
-        ASSERT_TRUE(cold.open(dir, &error)) << error;
-        cold.prefetch(grid);
-    }
-
-    ResultStore store(1);
-    std::string error;
-    ASSERT_TRUE(store.open(dir, &error)) << error;
-    CoordinatorOptions copts;
-    copts.port = 0;
-    SweepCoordinator coordinator(copts, &store, grid);
-    ASSERT_TRUE(coordinator.start(&error)) << error;
-    std::string serve_error;
-    // Fully warm: serve() returns without a single worker connecting.
-    EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
-    CoordinatorMetrics m = coordinator.metrics();
-    EXPECT_TRUE(m.complete);
-    EXPECT_EQ(m.unitsWarm, 3u);
-    EXPECT_EQ(m.recordsIngested, 0u);
-}
-
-// --- raw-socket fake client for the lease-forfeit tests --------------
+// --- raw-socket clients: fake workers and HTTP probes ----------------
 
 int
 connectTo(std::uint16_t port)
@@ -362,6 +275,144 @@ readFrame(int fd, FrameReader *reader)
         reader->feed(buf, static_cast<std::size_t>(n));
     }
     return payload;
+}
+
+/** One plain-HTTP GET against the coordinator's port; the whole reply. */
+std::string
+httpGet(std::uint16_t port, const std::string &path)
+{
+    int fd = connectTo(port);
+    sendAll(fd, "GET " + path + " HTTP/1.1\r\n\r\n");
+    std::string reply;
+    char buf[4096];
+    for (;;) {
+        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0)
+            break;
+        reply.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return reply;
+}
+
+/** The value of the /metrics sample named exactly @p name; "" if absent. */
+std::string
+metricValue(const std::string &page, const std::string &name)
+{
+    std::size_t at = page.find("\n" + name + " ");
+    if (at == std::string::npos)
+        return "";
+    at += name.size() + 2;
+    return page.substr(at, page.find('\n', at) - at);
+}
+
+TEST(SweepServiceTest, TwoWorkersReproduceTheLocalStoreByteForByte)
+{
+    std::vector<ExperimentConfig> grid = loopbackGrid();
+
+    // Ground truth: a local single-process run of the same grid.
+    std::string local_dir = freshDir("local");
+    std::string local_json;
+    {
+        ResultStore local(2);
+        std::string error;
+        ASSERT_TRUE(local.open(local_dir, &error)) << error;
+        local.prefetch(grid);
+        local_json = local.toJson().dump();
+    }
+
+    std::string svc_dir = freshDir("svc");
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(svc_dir, &error)) << error;
+
+    CoordinatorOptions copts;
+    copts.port = 0; // Ephemeral: tests never collide on a port.
+    copts.leaseTimeoutMs = 60000;
+    copts.lingerMs = 60000; // Serve /metrics until requestStop() below.
+    SweepCoordinator coordinator(copts, &store, grid);
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    EXPECT_EQ(coordinator.metrics().unitsTotal, 3u); // Dedup applied.
+
+    std::thread serve([&] {
+        std::string serve_error;
+        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
+    });
+
+    auto run_worker = [&](const char *name, bool *ok) {
+        WorkerOptions wopts;
+        wopts.port = coordinator.port();
+        wopts.jobs = 1;
+        wopts.name = name;
+        SweepWorker worker(wopts);
+        std::string worker_error;
+        *ok = worker.run(&worker_error);
+        EXPECT_TRUE(*ok) << worker_error;
+    };
+    bool ok1 = false, ok2 = false;
+    std::thread w1(run_worker, "w1", &ok1);
+    std::thread w2(run_worker, "w2", &ok2);
+    w1.join();
+    w2.join();
+    EXPECT_TRUE(ok1);
+    EXPECT_TRUE(ok2);
+
+    // The lease-latency histogram observes every ingested record once.
+    std::string page = httpGet(coordinator.port(), "/metrics");
+    coordinator.requestStop();
+    serve.join();
+    EXPECT_NE(page.find("# TYPE bh_sweep_lease_seconds histogram\n"),
+              std::string::npos)
+        << page;
+    std::string ingested = metricValue(page, "bh_sweep_records_ingested");
+    EXPECT_EQ(ingested, "3") << page;
+    EXPECT_EQ(metricValue(page, "bh_sweep_lease_seconds_count"), ingested)
+        << page;
+    EXPECT_EQ(metricValue(page, "bh_sweep_lease_seconds_bucket{le=\"+Inf\"}"),
+              ingested)
+        << page;
+    EXPECT_NE(metricValue(page, "bh_sweep_lease_seconds_sum"), "") << page;
+
+    CoordinatorMetrics m = coordinator.metrics();
+    EXPECT_TRUE(m.complete);
+    EXPECT_EQ(m.unitsDone, 3u);
+    EXPECT_EQ(m.recordsIngested, 3u);
+    EXPECT_EQ(m.unitsWarm, 0u);
+    EXPECT_EQ(m.leasesOutstanding, 0u);
+
+    // The distributed run's export and on-disk experiment records are
+    // byte-identical to the local run's.
+    EXPECT_EQ(store.toJson().dump(), local_json);
+    std::vector<std::string> svc_lines = experimentLines(svc_dir);
+    EXPECT_EQ(svc_lines, experimentLines(local_dir));
+    EXPECT_EQ(svc_lines.size(), 3u);
+}
+
+TEST(SweepServiceTest, WarmCoordinatorLeasesNothing)
+{
+    std::vector<ExperimentConfig> grid = loopbackGrid();
+    std::string dir = freshDir("warm");
+    {
+        ResultStore cold(2);
+        std::string error;
+        ASSERT_TRUE(cold.open(dir, &error)) << error;
+        cold.prefetch(grid);
+    }
+
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    CoordinatorOptions copts;
+    copts.port = 0;
+    SweepCoordinator coordinator(copts, &store, grid);
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::string serve_error;
+    // Fully warm: serve() returns without a single worker connecting.
+    EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
+    CoordinatorMetrics m = coordinator.metrics();
+    EXPECT_TRUE(m.complete);
+    EXPECT_EQ(m.unitsWarm, 3u);
+    EXPECT_EQ(m.recordsIngested, 0u);
 }
 
 /**
@@ -720,17 +771,7 @@ TEST(SweepServiceTest, MetricsEscapesHostileWorkerNames)
     JsonValue msg = JsonValue::parseOrDie(readFrame(wfd, &reader));
     ASSERT_EQ(messageType(msg), "hello_ok");
 
-    int hfd = connectTo(coordinator.port());
-    sendAll(hfd, "GET /metrics HTTP/1.1\r\n\r\n");
-    std::string page;
-    char buf[4096];
-    for (;;) {
-        ssize_t n = ::recv(hfd, buf, sizeof(buf), 0);
-        if (n <= 0)
-            break;
-        page.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(hfd);
+    std::string page = httpGet(coordinator.port(), "/metrics");
     // The raw name must not appear; the escaped label must.
     EXPECT_EQ(page.find("w\"evil"), std::string::npos) << page;
     EXPECT_NE(page.find("worker=\"w\\\"evil\\\\\\n1\""),
@@ -740,6 +781,179 @@ TEST(SweepServiceTest, MetricsEscapesHostileWorkerNames)
     coordinator.requestStop();
     serve.join();
     ::close(wfd);
+}
+
+TEST(SweepServiceTest, RequestStopWakesAnIdleWorkerAndTheCoordinator)
+{
+    using Clock = std::chrono::steady_clock;
+    auto ms_since = [](Clock::time_point t0, Clock::time_point t1) {
+        return std::chrono::duration<double, std::milli>(t1 - t0).count();
+    };
+    auto wait_for_workers = [](const SweepCoordinator &c, std::size_t n) {
+        auto deadline = Clock::now() + std::chrono::seconds(10);
+        while (c.metrics().workersConnected != n && Clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return c.metrics().workersConnected == n;
+    };
+
+    ExperimentConfig cfg;
+    cfg.mix = makeMix("MMLL", 0);
+    cfg.mechanism = MitigationType::kNone;
+    cfg.nRh = 1024;
+    cfg.instructions = 2000;
+
+    std::string dir = freshDir("stop");
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    CoordinatorOptions copts;
+    copts.port = 0;
+    auto coordinator =
+        std::make_unique<SweepCoordinator>(copts, &store,
+                                           std::vector<ExperimentConfig>{cfg});
+    ASSERT_TRUE(coordinator->start(&error)) << error;
+    std::thread serve([&] {
+        std::string serve_error;
+        EXPECT_TRUE(coordinator->serve(&serve_error)) << serve_error;
+    });
+
+    // A fake client holds the only unit for the whole test, so each real
+    // worker below connects, asks for a lease and is parked: connected,
+    // idle, its I/O thread asleep in poll().
+    int fake = connectTo(coordinator->port());
+    FrameReader reader;
+    sendAll(fake, encodeFrame(makeHello(1, "holder").dump()));
+    ASSERT_EQ(messageType(JsonValue::parseOrDie(readFrame(fake, &reader))),
+              "hello_ok");
+    sendAll(fake, encodeFrame(makeLeaseRequest().dump()));
+    ASSERT_EQ(messageType(JsonValue::parseOrDie(readFrame(fake, &reader))),
+              "lease");
+
+    std::vector<double> stop_ms;
+    for (int trial = 0; trial < 3; ++trial) {
+        ASSERT_TRUE(wait_for_workers(*coordinator, 1));
+        WorkerOptions wopts;
+        wopts.port = coordinator->port();
+        wopts.jobs = 1;
+        wopts.name = "idle";
+        SweepWorker worker(wopts);
+        Clock::time_point returned_at;
+        std::string run_error;
+        auto run = std::async(std::launch::async, [&] {
+            bool ok = worker.run(&run_error);
+            returned_at = Clock::now();
+            return ok;
+        });
+        ASSERT_TRUE(wait_for_workers(*coordinator, 2));
+        // Idle for half of what used to be the worker's 100 ms poll
+        // period: a stop noticed only at a poll timeout takes ~50 ms.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        Clock::time_point asked = Clock::now();
+        worker.requestStop();
+        // Watchdog: the poll has no timeout, so a stop that does not wake
+        // it would hang run() for good. Closing the coordinator's
+        // sockets unblocks the worker so the test can fail.
+        if (run.wait_for(std::chrono::seconds(10)) !=
+            std::future_status::ready) {
+            ADD_FAILURE() << "run() ignored requestStop() on an idle worker";
+            coordinator->requestStop();
+            serve.join();
+            coordinator.reset();
+            run.get();
+            ::close(fake);
+            return;
+        }
+        EXPECT_FALSE(run.get()) << "stopped, not finished";
+        stop_ms.push_back(ms_since(asked, returned_at));
+    }
+    // The fastest of three trials, so one scheduling hiccup cannot fail
+    // the test; a poll-timeout stop is slow in every trial.
+    EXPECT_LT(*std::min_element(stop_ms.begin(), stop_ms.end()), 25.0)
+        << "stop latencies " << stop_ms[0] << ", " << stop_ms[1] << ", "
+        << stop_ms[2] << " ms";
+
+    // The coordinator wakes at once too, not at its 200 ms poll timeout
+    // (kept for lease-expiry sweeps).
+    ASSERT_TRUE(wait_for_workers(*coordinator, 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Clock::time_point asked = Clock::now();
+    coordinator->requestStop();
+    serve.join();
+    EXPECT_LT(ms_since(asked, Clock::now()), 50.0);
+    ::close(fake);
+}
+
+TEST(SweepServiceTest, ShortUnitsCostTheServiceLittleTimePerUnit)
+{
+    // A unit's service overhead was ~100 ms, whatever its compute time,
+    // while the worker noticed a finished unit only at its poll timeout.
+    // Now it is a round trip plus an ingest: well under a quarter of that.
+    using Clock = std::chrono::steady_clock;
+    std::vector<ExperimentConfig> grid;
+    for (const char *pattern : {"HHMA", "LLLA", "MMLL", "HLLA"})
+        for (MitigationType mechanism :
+             {MitigationType::kNone, MitigationType::kPara,
+              MitigationType::kGraphene, MitigationType::kHydra}) {
+            ExperimentConfig cfg;
+            cfg.mix = makeMix(pattern, 0);
+            cfg.mechanism = mechanism;
+            cfg.nRh = 1024;
+            cfg.instructions = 2000;
+            grid.push_back(cfg);
+        }
+    // Solo IPCs are cached process-wide: compute them before either
+    // timed run so neither pays for them.
+    for (const auto &[app, insts] : soloDependencies(grid))
+        soloIpc(app, insts);
+
+    std::string local_json;
+    Clock::time_point t0 = Clock::now();
+    {
+        ResultStore local(1);
+        std::string error;
+        ASSERT_TRUE(local.open(freshDir("overhead_local"), &error)) << error;
+        local.prefetch(grid);
+        local_json = local.toJson().dump();
+    }
+    double local_s = std::chrono::duration<double>(Clock::now() - t0).count();
+
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(freshDir("overhead_svc"), &error)) << error;
+    CoordinatorOptions copts;
+    copts.port = 0;
+    copts.leaseTimeoutMs = 60000;
+    t0 = Clock::now();
+    SweepCoordinator coordinator(copts, &store, grid);
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    ASSERT_EQ(coordinator.metrics().unitsTotal, grid.size());
+    std::thread serve([&] {
+        std::string serve_error;
+        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
+    });
+    WorkerOptions wopts;
+    wopts.port = coordinator.port();
+    wopts.jobs = 1;
+    wopts.name = "overhead";
+    SweepWorker worker(wopts);
+    std::string run_error;
+    auto run = std::async(std::launch::async,
+                          [&] { return worker.run(&run_error); });
+    // Watchdog: a lost wake-up would hang the worker for good.
+    if (run.wait_for(std::chrono::seconds(120)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "worker hung before finishing the grid";
+        worker.requestStop();
+    }
+    EXPECT_TRUE(run.get()) << run_error;
+    serve.join();
+    double svc_s = std::chrono::duration<double>(Clock::now() - t0).count();
+
+    double overhead_ms =
+        (svc_s - local_s) * 1000.0 / static_cast<double>(grid.size());
+    EXPECT_LT(overhead_ms, 25.0)
+        << "service " << svc_s << " s vs local " << local_s << " s";
+    EXPECT_EQ(store.toJson().dump(), local_json);
 }
 
 TEST(SweepServiceTest, SecondStoreWriterIsRefused)
