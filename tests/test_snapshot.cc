@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "breakhammer/breakhammer.h"
+#include "cache/llc.h"
 #include "cache/mshr.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
@@ -864,6 +865,134 @@ TEST(SystemSnapshotTest, RunExperimentResumesAndCleansUpItsSnapshot)
         snapshotPath(dir, cfg)));
 
     std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------ wire-format goldens
+
+// The round-trip tests above compare a blob with its own reload, so a
+// codec change that alters both directions the same way passes them.
+// These pin the bytes themselves (kSnapshotVersion 4): a snapshot written
+// by one build must load in another. The digests assume libstdc++'s
+// unordered_map layout — the maps serialize in iteration order — just as
+// UnorderedMapPreservesIterationOrder assumes its rebuild rule.
+
+std::uint64_t
+digest(const std::string &blob)
+{
+    return fnv1a64(blob.data(), blob.size());
+}
+
+TEST(SnapshotFormatTest, MechanismBytesArePinned)
+{
+    const std::pair<MitigationType, std::uint64_t> golden[] = {
+        {MitigationType::kPara, 0x17aaa5c529cbd94dull},
+        {MitigationType::kGraphene, 0x6f6231db6faef366ull},
+        {MitigationType::kHydra, 0xa21c35f3af535393ull},
+        {MitigationType::kTwice, 0xe137bb24d4adda46ull},
+        {MitigationType::kAqua, 0x95baf188c83a8d83ull},
+        {MitigationType::kRega, 0x89fedff1f3aa9c05ull},
+        {MitigationType::kRfm, 0x654c7631c079105dull},
+        {MitigationType::kPrac, 0x0e4f7a35a9684bbeull},
+        {MitigationType::kBlockHammer, 0x8fdcf9dd64a95ca3ull},
+    };
+    for (const auto &[type, expect] : golden) {
+        // Driven exactly as MidEpochRoundTripIsFieldExact drives it.
+        DramSpec spec = DramSpec::ddr5();
+        applyTimingSideEffects(type, 512, &spec);
+        RecordingHost host;
+        auto m = createMitigation(type, 512, spec, 4);
+        ASSERT_NE(m, nullptr);
+        m->setHost(&host);
+        Cycle cycle = 0;
+        driveMechanism(m.get(), spec, 123, 0, 400, &cycle);
+        driveMechanism(m.get(), spec, 321, cycle + spec.timing.tREFW / 2,
+                       400, &cycle);
+        EXPECT_EQ(digest(stateBlob(*m)), expect)
+            << mitigationName(type) << " digest 0x" << std::hex
+            << digest(stateBlob(*m));
+    }
+}
+
+struct FormatRegime
+{
+    SystemRegime regime;
+    unsigned channels;
+    unsigned ranks;
+    std::uint64_t digest;
+};
+
+TEST(SnapshotFormatTest, SystemBytesArePinned)
+{
+    // The six SystemSnapshotTest regimes plus one 4-channel, 2-rank
+    // system, each saved with requests in flight partway through a run.
+    const FormatRegime golden[] = {
+        {{"graphene_bh_attack", "HHMA", MitigationType::kGraphene, 512,
+          true, false},
+         0, 0, 0x25f843d4e329f1fbull},
+        {{"hydra_benign", "HHMM", MitigationType::kHydra, 512, false,
+          false},
+         0, 0, 0xc6be7398bf865445ull},
+        {{"prac_attack_oracle", "LLLA", MitigationType::kPrac, 256, true,
+          true},
+         0, 0, 0x817a3df1e16bf97cull},
+        {{"blockhammer_lowthresh", "LLLA", MitigationType::kBlockHammer,
+          128, false, false},
+         0, 0, 0xc9bfb66f7655412bull},
+        {{"para_rng", "MMLA", MitigationType::kPara, 1024, true, false},
+         0, 0, 0x51999d9dcfb270dbull},
+        {{"redteam_adaptive_rotating", "MMAA", MitigationType::kPara, 512,
+          true, false, "pat=half,obs=32,bub=64,grp=2,ho=512"},
+         0, 0, 0x4b876a5e0ef7630eull},
+        {{"graphene_bh_4ch_2rank", "HHMA", MitigationType::kGraphene, 512,
+          true, false},
+         4, 2, 0x3bab7b073a6f48e5ull},
+    };
+    for (const FormatRegime &g : golden) {
+        ExperimentConfig cfg;
+        cfg.mix = makeMix(g.regime.pattern, 0);
+        cfg.mechanism = g.regime.mechanism;
+        cfg.nRh = g.regime.nRh;
+        cfg.breakHammer = g.regime.breakHammer;
+        cfg.oracle = g.regime.oracle;
+        cfg.instructions = 5000;
+        cfg.channels = g.channels;
+        cfg.ranks = g.ranks;
+        if (g.regime.redteam != nullptr) {
+            RedteamStrategy strategy;
+            ASSERT_TRUE(parseRedteamStrategy(g.regime.redteam, &strategy));
+            applyRedteamStrategy(strategy, &cfg.mix.slots);
+        }
+        System system(systemConfigFor(cfg), cfg.mix.slots);
+        (void)system.run(cfg.instructions / 2, cfg.instructions * 150);
+        std::string blob = system.snapshotBlob();
+        EXPECT_EQ(digest(blob), g.digest)
+            << g.regime.name << " digest 0x" << std::hex << digest(blob);
+    }
+}
+
+TEST(SnapshotFormatTest, LlcNarrowAndWideTagStoresArePinned)
+{
+    // The LLC's struct-of-arrays tag store has two encodings; real runs
+    // only ever take the 32-bit one, so drive both explicitly.
+    for (const auto &[base, expect] :
+         {std::pair<Addr, std::uint64_t>{0, 0x6dce24e9c014a175ull},
+          std::pair<Addr, std::uint64_t>{Addr{1} << 44, 0x44981b85ebc4e0f2ull}}) {
+        LlcConfig config;
+        config.sizeBytes = 64 << 10;
+        Llc llc(config);
+        Rng rng(5);
+        for (int i = 0; i < 3000; ++i) {
+            Addr line = base + (rng.next() % 4096) * kCacheLineBytes;
+            bool is_write = rng.next() % 3 == 0;
+            if (!llc.access(line, is_write)) {
+                Llc::Victim victim;
+                llc.allocate(line, is_write, &victim);
+            }
+        }
+        std::string blob = stateBlob(llc);
+        EXPECT_EQ(digest(blob), expect)
+            << "base " << base << " digest 0x" << std::hex << digest(blob);
+    }
 }
 
 } // namespace
