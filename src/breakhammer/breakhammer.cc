@@ -59,57 +59,6 @@ BreakHammer::rollWindows(Cycle now)
 }
 
 void
-BreakHammer::saveState(StateWriter &w) const
-{
-    w.tag("breakhammer");
-    saveDoubleVector(w, scoreSet[0]);
-    saveDoubleVector(w, scoreSet[1]);
-    w.u64(active);
-    w.u64(windowStart);
-    saveU64Vector(w, activations);
-    saveBoolVector(w, suspect);
-    saveBoolVector(w, recentSuspect);
-    saveUnsignedVector(w, quotas);
-    w.u64(suspectMarks_);
-    w.u64(actionsObserved_);
-}
-
-void
-BreakHammer::loadState(StateReader &r)
-{
-    r.tag("breakhammer");
-    std::vector<double> s0, s1;
-    loadDoubleVector(r, &s0);
-    loadDoubleVector(r, &s1);
-    std::uint64_t active_set = r.u64();
-    Cycle window_start = r.u64();
-    std::vector<std::uint64_t> acts;
-    loadU64Vector(r, &acts);
-    std::vector<bool> susp, recent;
-    loadBoolVector(r, &susp);
-    loadBoolVector(r, &recent);
-    std::vector<unsigned> q;
-    loadUnsignedVector(r, &q);
-    if (!r.ok() || s0.size() != numThreads || s1.size() != numThreads ||
-        acts.size() != numThreads || susp.size() != numThreads ||
-        recent.size() != numThreads || q.size() != numThreads ||
-        active_set > 1) {
-        r.fail();
-        return;
-    }
-    scoreSet[0] = std::move(s0);
-    scoreSet[1] = std::move(s1);
-    active = static_cast<unsigned>(active_set);
-    windowStart = window_start;
-    activations = std::move(acts);
-    suspect = std::move(susp);
-    recentSuspect = std::move(recent);
-    quotas = std::move(q);
-    suspectMarks_ = r.u64();
-    actionsObserved_ = r.u64();
-}
-
-void
 BreakHammer::onDemandActivate(ThreadId thread, unsigned flat_bank,
                               Cycle now)
 {

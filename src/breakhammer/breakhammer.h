@@ -118,20 +118,38 @@ class BreakHammer : public IActionObserver
      * Serialize both counter sets, window bookkeeping, suspect flags,
      * and quotas (mirrors the IMitigation::saveState contract).
      */
-    void saveState(StateWriter &w) const;
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output into a same-config instance. */
-    void loadState(StateReader &r);
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("breakhammer");
+        ar.fixedVec(self.scoreSet[0], asDouble);
+        ar.fixedVec(self.scoreSet[1], asDouble);
+        ar.u64(self.active);
+        ar.check(self.active <= 1);
+        ar.u64(self.windowStart);
+        ar.fixedVec(self.activations, asU64);
+        ar.fixedVec(self.suspect, asBool);
+        ar.fixedVec(self.recentSuspect, asBool);
+        ar.fixedVec(self.quotas, asU64);
+        ar.u64(self.suspectMarks_);
+        ar.u64(self.actionsObserved_);
+    }
+
     void updateScores(double weight, Cycle now);
     void checkOutliers(Cycle now);
     void markSuspect(ThreadId thread);
     void endWindow();
 
-    BreakHammerConfig config_;  // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
-    unsigned numThreads;        // bh-audit: skip(numThreads) -- constructor config; validates loaded vector sizes
-    IThrottleTarget *target;    // bh-audit: skip(target) -- non-owning wiring installed by System
+    const BreakHammerConfig config_;
+    const unsigned numThreads;
+    IThrottleTarget *const target;
 
     /** Two time-interleaved score sets; `active` answers queries. */
     std::vector<double> scoreSet[2];

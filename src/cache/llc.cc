@@ -103,117 +103,83 @@ Llc::setDirty(Addr line_addr)
     }
 }
 
+template <class Ar, class Self>
 void
-Llc::saveState(StateWriter &w) const
+Llc::transfer(Ar &ar, Self &self)
 {
-    w.tag("llc");
-    w.u64(sets.size());
+    ar.tag("llc");
+    ar.expectU64(self.sets.size());
     // Struct-of-arrays bulk encoding: the tag store is by far the
     // largest snapshot section (one entry per cache line), so it is
-    // written as three flat arrays instead of hundreds of thousands of
-    // per-field codec calls. Flags pack valid|dirty<<1 per line. Tags
+    // transferred as three flat arrays instead of hundreds of thousands
+    // of per-field codec calls. Flags pack valid|dirty<<1 per line. Tags
     // and LRU stamps almost always fit 32 bits (tags below a 256 GB
     // address space, LRU stamps below 4G accesses); a width byte keeps
     // the wide encoding available for the rare state that does not.
+    auto each_line = [&self](auto fn) {
+        std::size_t i = 0;
+        for (auto &set : self.sets)
+            for (auto &line : set.ways)
+                fn(i++, line);
+    };
     std::size_t lines = 0;
-    for (const Set &set : sets)
+    for (const auto &set : self.sets)
         lines += set.ways.size();
+    std::vector<std::uint32_t> tags32(lines), lrus32(lines);
+    std::vector<std::uint64_t> tags64, lrus64, flags((lines + 31) / 32);
     bool narrow = true;
-    std::vector<std::uint32_t> tags32, lrus32;
-    tags32.reserve(lines);
-    lrus32.reserve(lines);
-    std::vector<std::uint64_t> flags;
-    flags.reserve((lines + 31) / 32);
-    std::uint64_t packed = 0;
-    std::size_t nbits = 0;
-    for (const Set &set : sets) {
-        for (const Line &line : set.ways) {
-            if (narrow && (line.tag > UINT32_MAX || line.lru > UINT32_MAX))
+    if constexpr (!Ar::kLoading) {
+        each_line([&](std::size_t i, const Line &line) {
+            if (line.tag > UINT32_MAX || line.lru > UINT32_MAX)
                 narrow = false;
-            tags32.push_back(static_cast<std::uint32_t>(line.tag));
-            lrus32.push_back(static_cast<std::uint32_t>(line.lru));
-            std::uint64_t f = (line.valid ? 1u : 0u) |
-                              (line.dirty ? 2u : 0u);
-            packed |= f << (nbits * 2);
-            if (++nbits == 32) {
-                flags.push_back(packed);
-                packed = 0;
-                nbits = 0;
-            }
-        }
+            tags32[i] = static_cast<std::uint32_t>(line.tag);
+            lrus32[i] = static_cast<std::uint32_t>(line.lru);
+            std::uint64_t f = (line.valid ? 1u : 0u) | (line.dirty ? 2u : 0u);
+            flags[i / 32] |= f << ((i % 32) * 2);
+        });
     }
-    if (nbits > 0)
-        flags.push_back(packed);
-    w.u8(narrow ? 1 : 0);
+    ar.b(narrow);
     if (narrow) {
-        saveU32VectorBulk(w, tags32);
-        saveU32VectorBulk(w, lrus32);
+        ar.fixedVec(tags32, asU32);
+        ar.fixedVec(lrus32, asU32);
     } else {
-        std::vector<std::uint64_t> tags, lrus;
-        tags.reserve(lines);
-        lrus.reserve(lines);
-        for (const Set &set : sets) {
-            for (const Line &line : set.ways) {
-                tags.push_back(line.tag);
-                lrus.push_back(line.lru);
-            }
+        tags64.resize(lines);
+        lrus64.resize(lines);
+        if constexpr (!Ar::kLoading) {
+            each_line([&](std::size_t i, const Line &line) {
+                tags64[i] = line.tag;
+                lrus64[i] = line.lru;
+            });
         }
-        saveU64VectorBulk(w, tags);
-        saveU64VectorBulk(w, lrus);
+        ar.fixedVec(tags64, asU64);
+        ar.fixedVec(lrus64, asU64);
     }
-    saveU64VectorBulk(w, flags);
-    w.u64(lruClock);
-    w.u64(hits_);
-    w.u64(misses_);
-    w.u64(writebacks_);
+    ar.fixedVec(flags, asU64);
+    if constexpr (Ar::kLoading) {
+        each_line([&](std::size_t i, Line &line) {
+            line.tag = narrow ? tags32[i] : tags64[i];
+            line.lru = narrow ? lrus32[i] : lrus64[i];
+            std::uint64_t f = (flags[i / 32] >> ((i % 32) * 2)) & 3u;
+            line.valid = (f & 1) != 0;
+            line.dirty = (f & 2) != 0;
+        });
+    }
+    ar.u64(self.lruClock);
+    ar.u64(self.hits_);
+    ar.u64(self.misses_);
+    ar.u64(self.writebacks_);
+}
+
+void
+Llc::saveState(StateWriter &w) const
+{
+    transfer(w, *this);
 }
 
 void
 Llc::loadState(StateReader &r)
 {
-    r.tag("llc");
-    if (r.u64() != sets.size()) {
-        r.fail();
-        return;
-    }
-    std::size_t lines = 0;
-    for (const Set &set : sets)
-        lines += set.ways.size();
-    const bool narrow = r.u8() != 0;
-    std::vector<std::uint32_t> t32, l32;
-    std::vector<std::uint64_t> t64, l64;
-    if (narrow) {
-        if (!loadU32VectorBulk(r, &t32) || !loadU32VectorBulk(r, &l32) ||
-            t32.size() != lines || l32.size() != lines) {
-            r.fail();
-            return;
-        }
-    } else if (!loadU64VectorBulk(r, &t64) || !loadU64VectorBulk(r, &l64) ||
-               t64.size() != lines || l64.size() != lines) {
-        r.fail();
-        return;
-    }
-    std::vector<std::uint64_t> flags;
-    if (!loadU64VectorBulk(r, &flags) ||
-        flags.size() != (lines + 31) / 32) {
-        r.fail();
-        return;
-    }
-    std::size_t i = 0;
-    for (Set &set : sets) {
-        for (Line &line : set.ways) {
-            line.tag = narrow ? t32[i] : t64[i];
-            line.lru = narrow ? l32[i] : l64[i];
-            std::uint64_t f = (flags[i / 32] >> ((i % 32) * 2)) & 3u;
-            line.valid = (f & 1) != 0;
-            line.dirty = (f & 2) != 0;
-            ++i;
-        }
-    }
-    lruClock = r.u64();
-    hits_ = r.u64();
-    misses_ = r.u64();
-    writebacks_ = r.u64();
+    transfer(r, *this);
 }
 
 bool

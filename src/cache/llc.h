@@ -84,6 +84,9 @@ class Llc
     void loadState(StateReader &r);
 
   private:
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &self);
+
     struct Line
     {
         Addr tag = 0;
@@ -100,7 +103,7 @@ class Llc
     std::uint64_t setIndex(Addr line_addr) const;
     Addr tagOf(Addr line_addr) const;
 
-    LlcConfig config_;  // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
+    const LlcConfig config_;
     std::vector<Set> sets;
     std::uint64_t lruClock = 0;
     std::uint64_t hits_ = 0;

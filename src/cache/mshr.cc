@@ -48,56 +48,4 @@ MshrFile::release(Addr line_addr, std::vector<MshrWaiter> *waiters)
     return any_store;
 }
 
-void
-MshrFile::saveState(StateWriter &w) const
-{
-    w.tag("mshr");
-    saveUnsignedVector(w, quotas);
-    saveUnsignedVector(w, inflight);
-    saveUnorderedMap(
-        w, entries, [](StateWriter &sw, Addr a) { sw.u64(a); },
-        [](StateWriter &sw, const Entry &e) {
-            sw.u64(e.owner);
-            sw.b(e.anyStore);
-            saveVector(sw, e.waiters,
-                       [](StateWriter &ew, const MshrWaiter &wr) {
-                           ew.u64(wr.thread);
-                           ew.u64(wr.token);
-                           ew.b(wr.isLoad);
-                       });
-        });
-    w.u64(quotaRejections_);
-    w.u64(quotaWrites_);
-}
-
-void
-MshrFile::loadState(StateReader &r)
-{
-    r.tag("mshr");
-    std::vector<unsigned> q, inf;
-    loadUnsignedVector(r, &q);
-    loadUnsignedVector(r, &inf);
-    if (!r.ok() || q.size() != quotas.size() ||
-        inf.size() != inflight.size()) {
-        r.fail();
-        return;
-    }
-    quotas = std::move(q);
-    inflight = std::move(inf);
-    loadUnorderedMap(
-        r, &entries, [](StateReader &sr, Addr *a) { *a = sr.u64(); },
-        [](StateReader &sr, Entry *e) {
-            e->owner = static_cast<ThreadId>(sr.u64());
-            e->anyStore = sr.b();
-            loadVector(sr, &e->waiters,
-                       [](StateReader &er, MshrWaiter *wr) {
-                           wr->thread = static_cast<ThreadId>(er.u64());
-                           wr->token = er.u64();
-                           wr->isLoad = er.b();
-                       });
-        });
-    quotaRejections_ = r.u64();
-    quotaWrites_ = r.u64();
-}
-
 } // namespace bh

@@ -133,10 +133,10 @@ class MshrFile : public IThrottleTarget
     }
 
     /** Serialize outstanding entries, quotas, and counters. */
-    void saveState(StateWriter &w) const;
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output into a same-capacity file. */
-    void loadState(StateReader &r);
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
     struct Entry
@@ -146,7 +146,31 @@ class MshrFile : public IThrottleTarget
         std::vector<MshrWaiter> waiters;
     };
 
-    unsigned numEntries;  // bh-audit: skip(numEntries) -- constructor config, keyed by ExperimentConfig
+    /** Owners and waiters index per-thread state: range-checked. */
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        const std::size_t threads = self.inflight.size();
+        ar.tag("mshr");
+        ar.fixedVec(self.quotas, asU64);
+        ar.fixedVec(self.inflight, asU64);
+        ar.map(self.entries, asU64, [threads](auto &a, auto &e) {
+            a.u64(e.owner);
+            a.check(e.owner < threads);
+            a.b(e.anyStore);
+            a.vec(e.waiters, [threads](auto &wa, auto &waiter) {
+                wa.u64(waiter.thread);
+                wa.check(waiter.thread < threads);
+                wa.u64(waiter.token);
+                wa.b(waiter.isLoad);
+            });
+        });
+        ar.u64(self.quotaRejections_);
+        ar.u64(self.quotaWrites_);
+    }
+
+    const unsigned numEntries;
     std::vector<unsigned> quotas;
     mutable std::vector<unsigned> inflight;
     std::unordered_map<Addr, Entry> entries;

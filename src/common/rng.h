@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "common/snapshot.h"
 #include "common/types.h"
 
 namespace bh {
@@ -66,13 +67,19 @@ class Rng
         return len;
     }
 
-    /** Raw generator state (snapshot serialization). */
-    std::uint64_t rawState() const { return state; }
-
-    /** Restore a state captured by rawState(). @pre raw != 0. */
-    void setRawState(std::uint64_t raw) { state = raw ? raw : 1; }
+    void saveState(StateWriter &w) const { transfer(w, *this); }
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
+    /** Zero is the one state xorshift never leaves, so it never loads. */
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.u64(self.state);
+        ar.check(self.state != 0);
+    }
+
     std::uint64_t state;
 };
 

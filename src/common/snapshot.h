@@ -10,26 +10,52 @@
  * truncated or corrupt blob reports `!ok()` instead of crashing — the
  * caller falls back to recomputing from scratch.
  *
+ * Archive contract. Both classes offer the same archive members, each
+ * taking a reference to the field it transfers: the writer encodes the
+ * field, the reader decodes into it. A stateful class therefore writes its
+ * snapshot layout once, as
+ *
+ *     template <class Ar, class Self>
+ *     static void transfer(Ar &ar, Self &self);
+ *
+ * which saveState(StateWriter&) runs with `Self = const X` and
+ * loadState(StateReader&) with `Self = X`, so save and load cannot
+ * diverge. The member name fixes the encoding width, not the C++ type:
+ * `u64(x)` writes eight bytes whatever x is, and the reader fails when
+ * the decoded value does not fit x. A snapshot file is outside input:
+ * transfer() validates it with `check(cond)` (a no-op on the writer) and
+ * the fixed-size container forms, which fail the reader when a length
+ * differs from the geometry the object was constructed with. A failed
+ * reader keeps returning zeros, so code after a failed check must not
+ * index with decoded values without re-checking them.
+ *
+ * The kLoading rule: `if constexpr (Ar::kLoading)` is for format, never
+ * for field lists — a block that encodes differently than it stores (the
+ * LLC's narrow/wide tag store, the controller's completion heap) or that
+ * rebuilds derived state after a load. Every field is still named once.
+ *
  * Hash-table state needs more care than contents alone: a resumed run
  * must be *bit-identical* to an uninterrupted one, and some consumers make
  * iteration-order-dependent decisions (MisraGries reclaims the first
  * stale slot an iteration finds, which steers which rows Graphene/AQUA
- * keep tracking). saveUnorderedMap()/loadUnorderedMap() therefore record
- * the bucket count and the elements in iteration order, and rebuild by
- * rehashing to the saved bucket count and inserting in *reverse* order:
- * libstdc++ prepends a new node to its bucket (and a new bucket's segment
- * to the global element list), so reverse insertion reproduces the exact
- * iteration order — and, with the bucket count pinned, the exact future
- * rehash points. test_snapshot locks this property in; if a standard
- * library ever breaks it, the round-trip tests fail loudly rather than
- * letting resumed runs drift.
+ * keep tracking). map() therefore records the bucket count and the
+ * elements in iteration order, and rebuilds by rehashing to the saved
+ * bucket count and inserting in *reverse* order: libstdc++ prepends a new
+ * node to its bucket (and a new bucket's segment to the global element
+ * list), so reverse insertion reproduces the exact iteration order — and,
+ * with the bucket count pinned, the exact future rehash points.
+ * test_snapshot locks this property in; if a standard library ever breaks
+ * it, the round-trip tests fail loudly rather than letting resumed runs
+ * drift.
  */
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -77,10 +103,224 @@ fnv1a64Chunked(const void *data, std::size_t size)
     return hash;
 }
 
-/** Append-only binary encoder. */
-class StateWriter
+// --- Element codecs -----------------------------------------------------
+
+/** Per-element encodings for the container members (vec, map, ...). */
+struct U64Codec
+{
+    template <class Ar, class T>
+    void operator()(Ar &ar, T &v) const { ar.u64(v); }
+};
+struct U32Codec
+{
+    template <class Ar, class T>
+    void operator()(Ar &ar, T &v) const { ar.u32(v); }
+};
+struct BoolCodec
+{
+    template <class Ar, class T>
+    void operator()(Ar &ar, T &v) const { ar.b(v); }
+};
+struct DoubleCodec
+{
+    template <class Ar, class T>
+    void operator()(Ar &ar, T &v) const { ar.d(v); }
+};
+/** A nested component, through its saveState()/loadState(). */
+struct StateCodec
+{
+    template <class Ar, class T>
+    void operator()(Ar &ar, T &v) const { ar.state(v); }
+};
+
+inline constexpr U64Codec asU64{};
+inline constexpr U32Codec asU32{};
+inline constexpr BoolCodec asBool{};
+inline constexpr DoubleCodec asDouble{};
+inline constexpr StateCodec asState{};
+
+/**
+ * Container members shared by StateWriter and StateReader, written once
+ * per container so both directions of each encoding sit side by side.
+ */
+template <class Ar>
+class StateArchive
 {
   public:
+    /**
+     * Length-prefixed sequence (vector or deque), each element through
+     * @p codec. On load the length is bounded by the bytes remaining, so
+     * a corrupt length cannot drive a huge allocation.
+     */
+    template <class Seq, class Codec>
+    void vec(Seq &v, Codec codec) { sequence<false>(v, codec); }
+
+    /**
+     * vec() for a container whose length is fixed by the constructed
+     * geometry: the reader fails when the stored length differs and
+     * decodes in place.
+     */
+    template <class Seq, class Codec>
+    void fixedVec(Seq &v, Codec codec) { sequence<true>(v, codec); }
+
+    /**
+     * An unordered_map: bucket count, then the elements in iteration
+     * order; reloading rebuilds identical contents, bucket count AND
+     * iteration order (see the file comment).
+     */
+    template <class Map, class KeyCodec, class ValCodec>
+    void
+    map(Map &m, KeyCodec key_codec, ValCodec val_codec)
+    {
+        Ar &ar = self();
+        if constexpr (!Ar::kLoading) {
+            ar.u64(m.bucket_count());
+            ar.u64(m.size());
+            for (const auto &kv : m) {
+                key_codec(ar, kv.first);
+                val_codec(ar, kv.second);
+            }
+        } else {
+            using Key = typename Map::key_type;
+            using Val = typename Map::mapped_type;
+            std::uint64_t buckets = ar.u64();
+            std::uint64_t n = ar.u64();
+            if (!ar.ok() || n > ar.remaining() || buckets > (1ull << 40)) {
+                ar.fail();
+                return;
+            }
+            std::vector<std::pair<Key, Val>> items;
+            items.reserve(n);
+            for (std::uint64_t i = 0; i < n && ar.ok(); ++i) {
+                Key k{};
+                Val v{};
+                key_codec(ar, k);
+                val_codec(ar, v);
+                items.emplace_back(std::move(k), std::move(v));
+            }
+            if (!ar.ok())
+                return;
+            // Rebuild into a fresh table: a never-inserted map sits on the
+            // implementation's placeholder bucket count (1 on libstdc++),
+            // which rehash() cannot produce — so only rehash when the
+            // saved count differs from the fresh default. Saved counts of
+            // ever-grown maps are rehash-stable values (primes on
+            // libstdc++), so rehash() reproduces them exactly, and with
+            // the count pinned the future growth schedule matches the
+            // original's too.
+            Map fresh;
+            fresh.max_load_factor(m.max_load_factor());
+            if (buckets != fresh.bucket_count())
+                fresh.rehash(static_cast<std::size_t>(buckets));
+            for (auto it = items.rbegin(); it != items.rend(); ++it)
+                fresh.emplace(std::move(it->first), std::move(it->second));
+            m = std::move(fresh);
+        }
+    }
+
+    /** A u64 fixed by the constructed geometry (a count, not a field). */
+    void
+    expectU64(std::uint64_t expected)
+    {
+        std::uint64_t v = expected;
+        self().u64(v);
+        self().check(v == expected);
+    }
+
+    /** A presence flag that must match the constructed object graph. */
+    void
+    expectB(bool expected)
+    {
+        bool v = expected;
+        self().b(v);
+        self().check(v == expected);
+    }
+
+    /** A double fixed by construction (e.g. a histogram's bin width). */
+    void
+    expectD(double expected)
+    {
+        double v = expected;
+        self().d(v);
+        self().check(v == expected);
+    }
+
+  private:
+    Ar &self() { return static_cast<Ar &>(*this); }
+
+    template <bool kFixed, class Seq, class Codec>
+    void
+    sequence(Seq &v, Codec codec)
+    {
+        using Container = std::remove_const_t<Seq>;
+        using T = typename Container::value_type;
+        // A u64 (u32) vector of uint64_t (uint32_t) is its own encoding
+        // on little-endian hosts, so it moves as one memcpy — for
+        // megabyte-scale state (the LLC tag store) the per-element loop
+        // would be the codec's dominant cost.
+        constexpr bool kBulk =
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+            std::is_same_v<Container, std::vector<T>> &&
+            ((std::is_same_v<Codec, U64Codec> &&
+              std::is_same_v<T, std::uint64_t>) ||
+             (std::is_same_v<Codec, U32Codec> &&
+              std::is_same_v<T, std::uint32_t>));
+#else
+            false;
+#endif
+        Ar &ar = self();
+        if constexpr (!Ar::kLoading) {
+            ar.u64(v.size());
+            if constexpr (kBulk) {
+                ar.bytes(v.data(), v.size() * sizeof(T));
+            } else {
+                for (const auto &e : v)
+                    codec(ar, e);
+            }
+        } else {
+            std::uint64_t n = ar.u64();
+            if constexpr (kFixed) {
+                if (n != v.size()) {
+                    ar.fail();
+                    return;
+                }
+            } else if (!ar.ok() ||
+                       n > ar.remaining() / (kBulk ? sizeof(T) : 1)) {
+                ar.fail();
+                return;
+            }
+            if constexpr (kBulk) {
+                v.resize(static_cast<std::size_t>(n));
+                ar.bytes(v.data(), v.size() * sizeof(T));
+            } else if constexpr (kFixed && std::is_same_v<T, bool>) {
+                for (std::size_t i = 0; i < v.size(); ++i) {
+                    bool e = false;
+                    codec(ar, e);
+                    v[i] = e;
+                }
+            } else if constexpr (kFixed) {
+                for (auto &e : v)
+                    codec(ar, e);
+            } else {
+                v.clear();
+                if constexpr (std::is_same_v<Container, std::vector<T>>)
+                    v.reserve(static_cast<std::size_t>(n));
+                for (std::uint64_t i = 0; i < n && ar.ok(); ++i) {
+                    T e{};
+                    codec(ar, e);
+                    v.push_back(std::move(e));
+                }
+            }
+        }
+    }
+};
+
+/** Append-only binary encoder. */
+class StateWriter : public StateArchive<StateWriter>
+{
+  public:
+    static constexpr bool kLoading = false;
+
     void
     u8(std::uint8_t v)
     {
@@ -133,6 +373,17 @@ class StateWriter
             fnv1a64(name, std::strlen(name))));
     }
 
+    /** A nested component's state, through its saveState(). */
+    template <class T>
+    void state(const T &x) { x.saveState(*this); }
+
+    template <class T>
+    void state(const std::unique_ptr<T> &x) { x->saveState(*this); }
+
+    /** Load-side validation; the writer's own state needs none. */
+    void check(bool) {}
+    bool ok() const { return true; }
+
     /** Pre-size the buffer (e.g. to the previous snapshot's size). */
     void reserve(std::size_t n) { buf.reserve(n); }
 
@@ -151,9 +402,11 @@ class StateWriter
 };
 
 /** Bounds-checked binary decoder with a sticky failure flag. */
-class StateReader
+class StateReader : public StateArchive<StateReader>
 {
   public:
+    static constexpr bool kLoading = true;
+
     explicit StateReader(std::string data)
         : owned(std::move(data)), buf(owned)
     {
@@ -176,6 +429,14 @@ class StateReader
     void fail() { ok_ = false; }
     std::size_t remaining() const { return buf.size() - pos; }
     bool atEnd() const { return ok_ && pos == buf.size(); }
+
+    /** Fail unless @p cond holds (validation of decoded fields). */
+    void
+    check(bool cond)
+    {
+        if (!cond)
+            ok_ = false;
+    }
 
     std::uint8_t
     u8()
@@ -238,6 +499,21 @@ class StateReader
         return out;
     }
 
+    // Archive members: decode into the field, failing when the decoded
+    // value does not fit the field's type.
+    template <class T>
+    void u8(T &v) { narrow(u8(), &v); }
+
+    template <class T>
+    void u32(T &v) { narrow(u32(), &v); }
+
+    template <class T>
+    void u64(T &v) { narrow(u64(), &v); }
+
+    void b(bool &v) { v = b(); }
+    void d(double &v) { v = d(); }
+    void str(std::string &s) { s = str(); }
+
     /** Consume a section marker; mismatch is a sticky failure. */
     bool
     tag(const char *name)
@@ -249,17 +525,34 @@ class StateReader
         return ok_;
     }
 
+    /** A nested component's state, through its loadState(). */
+    template <class T>
+    void state(T &x) { x.loadState(*this); }
+
+    template <class T>
+    void state(std::unique_ptr<T> &x) { x->loadState(*this); }
+
     /** Copy @p n raw bytes out; false (and sticky-fail) when short. */
     bool
     bytes(void *p, std::size_t n)
     {
         if (!take(n))
             return false;
-        std::memcpy(p, buf.data() + pos - n, n);
+        if (n > 0) // An empty vector's data() may be null.
+            std::memcpy(p, buf.data() + pos - n, n);
         return true;
     }
 
   private:
+    template <class U, class T>
+    void
+    narrow(U raw, T *v)
+    {
+        *v = static_cast<T>(raw);
+        if (static_cast<U>(*v) != raw)
+            ok_ = false;
+    }
+
     bool
     take(std::size_t n)
     {
@@ -277,249 +570,34 @@ class StateReader
     bool ok_ = true;
 };
 
-// --- Container helpers --------------------------------------------------
-
-/** Save a vector; @p save_elem is (StateWriter&, const T&). */
-template <class T, class SaveElem>
-void
-saveVector(StateWriter &w, const std::vector<T> &v, SaveElem save_elem)
-{
-    w.u64(v.size());
-    for (const T &e : v)
-        save_elem(w, e);
-}
-
-/**
- * Load a vector saved by saveVector(); @p load_elem is
- * (StateReader&, T*). The element count is validated against the bytes
- * remaining, so a corrupt length cannot drive a huge allocation.
- */
-template <class T, class LoadElem>
-bool
-loadVector(StateReader &r, std::vector<T> *v, LoadElem load_elem)
-{
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining()) {
-        r.fail();
-        return false;
-    }
-    v->clear();
-    v->reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        T e{};
-        load_elem(r, &e);
-        v->push_back(std::move(e));
-    }
-    return r.ok();
-}
-
-inline void
-saveU64Vector(StateWriter &w, const std::vector<std::uint64_t> &v)
-{
-    saveVector(w, v, [](StateWriter &sw, std::uint64_t e) { sw.u64(e); });
-}
+// --- Free-function adapters ----------------------------------------------
+//
+// Kept for callers written against the pre-archive interface; new code
+// uses the archive members.
 
 inline bool
 loadU64Vector(StateReader &r, std::vector<std::uint64_t> *v)
 {
-    return loadVector(r, v, [](StateReader &sr, std::uint64_t *e) {
-        *e = sr.u64();
-    });
-}
-
-/**
- * saveU64Vector with a bulk fast path: on little-endian hosts the whole
- * array is one append/memcpy (bit-identical encoding to the element
- * loop). For megabyte-scale state — the LLC tag store — the per-element
- * loop is the snapshot codec's dominant cost.
- */
-inline void
-saveU64VectorBulk(StateWriter &w, const std::vector<std::uint64_t> &v)
-{
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    w.u64(v.size());
-    w.bytes(v.data(), v.size() * sizeof(std::uint64_t));
-#else
-    saveU64Vector(w, v);
-#endif
-}
-
-/** Bulk counterpart of loadU64Vector (same encoding, memcpy decode). */
-inline bool
-loadU64VectorBulk(StateReader &r, std::vector<std::uint64_t> *v)
-{
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining() / sizeof(std::uint64_t)) {
-        r.fail();
-        return false;
-    }
-    v->resize(n);
-    return r.bytes(v->data(), n * sizeof(std::uint64_t));
-#else
-    return loadU64Vector(r, v);
-#endif
-}
-
-inline void
-saveU32Vector(StateWriter &w, const std::vector<std::uint32_t> &v)
-{
-    saveVector(w, v, [](StateWriter &sw, std::uint32_t e) { sw.u32(e); });
-}
-
-inline bool
-loadU32Vector(StateReader &r, std::vector<std::uint32_t> *v)
-{
-    return loadVector(r, v, [](StateReader &sr, std::uint32_t *e) {
-        *e = sr.u32();
-    });
-}
-
-/** u32 counterpart of saveU64VectorBulk (same bulk fast path). */
-inline void
-saveU32VectorBulk(StateWriter &w, const std::vector<std::uint32_t> &v)
-{
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    w.u64(v.size());
-    w.bytes(v.data(), v.size() * sizeof(std::uint32_t));
-#else
-    w.u64(v.size());
-    for (std::uint32_t e : v)
-        w.u32(e);
-#endif
-}
-
-/** Bulk counterpart of loadU32Vector's encoding above. */
-inline bool
-loadU32VectorBulk(StateReader &r, std::vector<std::uint32_t> *v)
-{
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining() / sizeof(std::uint32_t)) {
-        r.fail();
-        return false;
-    }
-    v->resize(n);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    return r.bytes(v->data(), n * sizeof(std::uint32_t));
-#else
-    for (std::uint32_t &e : *v)
-        e = r.u32();
-    return r.ok();
-#endif
-}
-
-inline void
-saveUnsignedVector(StateWriter &w, const std::vector<unsigned> &v)
-{
-    saveVector(w, v, [](StateWriter &sw, unsigned e) {
-        sw.u64(e);
-    });
-}
-
-inline bool
-loadUnsignedVector(StateReader &r, std::vector<unsigned> *v)
-{
-    return loadVector(r, v, [](StateReader &sr, unsigned *e) {
-        *e = static_cast<unsigned>(sr.u64());
-    });
-}
-
-inline void
-saveDoubleVector(StateWriter &w, const std::vector<double> &v)
-{
-    saveVector(w, v, [](StateWriter &sw, double e) { sw.d(e); });
-}
-
-inline bool
-loadDoubleVector(StateReader &r, std::vector<double> *v)
-{
-    return loadVector(r, v, [](StateReader &sr, double *e) {
-        *e = sr.d();
-    });
-}
-
-inline void
-saveBoolVector(StateWriter &w, const std::vector<bool> &v)
-{
-    w.u64(v.size());
-    for (bool e : v)
-        w.b(e);
-}
-
-inline bool
-loadBoolVector(StateReader &r, std::vector<bool> *v)
-{
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining()) {
-        r.fail();
-        return false;
-    }
-    v->assign(n, false);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-        (*v)[i] = r.b();
+    r.vec(*v, asU64);
     return r.ok();
 }
 
-/**
- * Save an unordered_map: bucket count, then the elements in iteration
- * order (see the file comment for why order is part of the state).
- */
 template <class Map, class SaveKey, class SaveVal>
 void
 saveUnorderedMap(StateWriter &w, const Map &m, SaveKey save_key,
                  SaveVal save_val)
 {
-    w.u64(m.bucket_count());
-    w.u64(m.size());
-    for (const auto &kv : m) {
-        save_key(w, kv.first);
-        save_val(w, kv.second);
-    }
+    w.map(m, [&](StateWriter &a, const auto &k) { save_key(a, k); },
+          [&](StateWriter &a, const auto &v) { save_val(a, v); });
 }
 
-/**
- * Rebuild a map saved by saveUnorderedMap() with identical contents,
- * bucket count, AND iteration order (reverse-insertion reconstruction).
- */
 template <class Map, class LoadKey, class LoadVal>
 bool
-loadUnorderedMap(StateReader &r, Map *m, LoadKey load_key,
-                 LoadVal load_val)
+loadUnorderedMap(StateReader &r, Map *m, LoadKey load_key, LoadVal load_val)
 {
-    using Key = typename Map::key_type;
-    using Val = typename Map::mapped_type;
-    std::uint64_t buckets = r.u64();
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining() || buckets > (1ull << 40)) {
-        r.fail();
-        return false;
-    }
-    std::vector<std::pair<Key, Val>> items;
-    items.reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        Key k{};
-        Val v{};
-        load_key(r, &k);
-        load_val(r, &v);
-        items.emplace_back(std::move(k), std::move(v));
-    }
-    if (!r.ok())
-        return false;
-    // Rebuild into a fresh table: a never-inserted map sits on the
-    // implementation's placeholder bucket count (1 on libstdc++), which
-    // rehash() cannot produce — so only rehash when the saved count
-    // differs from the fresh default. Saved counts of ever-grown maps
-    // are rehash-stable values (primes on libstdc++), so rehash()
-    // reproduces them exactly, and with the count pinned the future
-    // growth schedule matches the original's too.
-    Map fresh;
-    fresh.max_load_factor(m->max_load_factor());
-    if (buckets != fresh.bucket_count())
-        fresh.rehash(static_cast<std::size_t>(buckets));
-    for (auto it = items.rbegin(); it != items.rend(); ++it)
-        fresh.emplace(std::move(it->first), std::move(it->second));
-    *m = std::move(fresh);
-    return true;
+    r.map(*m, [&](StateReader &a, auto &k) { load_key(a, &k); },
+          [&](StateReader &a, auto &v) { load_val(a, &v); });
+    return r.ok();
 }
 
 // --- Snapshot files -----------------------------------------------------

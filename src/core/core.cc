@@ -123,62 +123,6 @@ Core::functionalAdvance(std::uint64_t insts,
     }
 }
 
-void
-Core::saveState(StateWriter &w) const
-{
-    w.tag("core");
-    saveVector(w, window, [](StateWriter &sw, const WindowEntry &e) {
-        sw.u64(e.doneAt);
-    });
-    w.u64(head);
-    w.u64(occupancy);
-    w.u64(issueCounter);
-    w.u32(pendingBubbles);
-    w.b(recValid);
-    w.b(stalledOnReject_);
-    w.u32(rec.bubbles);
-    w.b(rec.isWrite);
-    w.b(rec.uncached);
-    w.u64(rec.addr);
-    w.u64(retired_);
-    w.u64(target_);
-    w.u64(finishCycle_);
-    w.u64(rejectStalls);
-    w.u64(memAccesses);
-    trace->saveState(w);
-}
-
-void
-Core::loadState(StateReader &r)
-{
-    r.tag("core");
-    std::vector<WindowEntry> win;
-    loadVector(r, &win, [](StateReader &sr, WindowEntry *e) {
-        e->doneAt = sr.u64();
-    });
-    if (!r.ok() || win.size() != window.size()) {
-        r.fail();
-        return;
-    }
-    window = std::move(win);
-    head = static_cast<unsigned>(r.u64());
-    occupancy = static_cast<unsigned>(r.u64());
-    issueCounter = r.u64();
-    pendingBubbles = r.u32();
-    recValid = r.b();
-    stalledOnReject_ = r.b();
-    rec.bubbles = r.u32();
-    rec.isWrite = r.b();
-    rec.uncached = r.b();
-    rec.addr = r.u64();
-    retired_ = r.u64();
-    target_ = r.u64();
-    finishCycle_ = r.u64();
-    rejectStalls = r.u64();
-    memAccesses = r.u64();
-    trace->loadState(r);
-}
-
 Cycle
 Core::nextEventCycle(Cycle now) const
 {

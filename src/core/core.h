@@ -164,10 +164,10 @@ class Core
                                &sink);
 
     /** Serialize the core's mutable pipeline state (not the config). */
-    void saveState(StateWriter &w) const;
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output into a same-config core. */
-    void loadState(StateReader &r);
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
     struct WindowEntry
@@ -177,11 +177,38 @@ class Core
 
     bool issueOne(Cycle now);
 
-    ThreadId id_;         // bh-audit: skip(id_) -- construction identity, fixed for the run
-    TraceSource *trace;
-    ICoreMemory *memory;  // bh-audit: skip(memory) -- non-owning wiring installed by System
-    CoreConfig config_;   // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
-    bool benign_;         // bh-audit: skip(benign_) -- constructor config (slot role from the mix)
+    /** The trace's generator state travels inside the core's section. */
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("core");
+        ar.fixedVec(self.window, [](auto &a, auto &e) { a.u64(e.doneAt); });
+        ar.u64(self.head);
+        ar.u64(self.occupancy);
+        ar.check(self.head < self.window.size() &&
+                 self.occupancy <= self.window.size());
+        ar.u64(self.issueCounter);
+        ar.u32(self.pendingBubbles);
+        ar.b(self.recValid);
+        ar.b(self.stalledOnReject_);
+        ar.u32(self.rec.bubbles);
+        ar.b(self.rec.isWrite);
+        ar.b(self.rec.uncached);
+        ar.u64(self.rec.addr);
+        ar.u64(self.retired_);
+        ar.u64(self.target_);
+        ar.u64(self.finishCycle_);
+        ar.u64(self.rejectStalls);
+        ar.u64(self.memAccesses);
+        ar.state(*self.trace);
+    }
+
+    const ThreadId id_;
+    TraceSource *const trace;
+    ICoreMemory *const memory;
+    const CoreConfig config_;
+    const bool benign_;
 
     std::vector<WindowEntry> window;
     unsigned head = 0;

@@ -85,35 +85,27 @@ class EnergyAccounting
     }
 
     /** Serialize the event counters (params stay constructor-set). */
-    void
-    saveState(StateWriter &w) const
-    {
-        w.tag("energy");
-        w.u64(acts_);
-        w.u64(reads_);
-        w.u64(writes_);
-        w.u64(refs_);
-        w.u64(rfms_);
-        w.u64(victimRows_);
-        w.u64(migrations_);
-    }
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("energy");
-        acts_ = r.u64();
-        reads_ = r.u64();
-        writes_ = r.u64();
-        refs_ = r.u64();
-        rfms_ = r.u64();
-        victimRows_ = r.u64();
-        migrations_ = r.u64();
-    }
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
-    DramEnergy params_;  // bh-audit: skip(params_) -- constructor config, keyed by ExperimentConfig
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("energy");
+        ar.u64(self.acts_);
+        ar.u64(self.reads_);
+        ar.u64(self.writes_);
+        ar.u64(self.refs_);
+        ar.u64(self.rfms_);
+        ar.u64(self.victimRows_);
+        ar.u64(self.migrations_);
+    }
+
+    const DramEnergy params_;
     std::uint64_t acts_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

@@ -101,45 +101,28 @@ class RowCensus
     }
 
     /** Serialize the open window and all completed summaries. */
-    void
-    saveState(StateWriter &w) const
-    {
-        w.tag("census");
-        w.u64(windowStart);
-        w.u64(actsInWindow);
-        saveUnorderedMap(
-            w, counts, [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-            [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-        saveVector(w, windows_,
-                   [](StateWriter &sw, const WindowSummary &s) {
-                       sw.u64(s.totalActs);
-                       sw.u64(s.rows512);
-                       sw.u64(s.rows128);
-                       sw.u64(s.rows64);
-                   });
-    }
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("census");
-        windowStart = r.u64();
-        actsInWindow = r.u64();
-        loadUnorderedMap(
-            r, &counts,
-            [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-            [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
-        loadVector(r, &windows_,
-                   [](StateReader &sr, WindowSummary *s) {
-                       s->totalActs = sr.u64();
-                       s->rows512 = sr.u64();
-                       s->rows128 = sr.u64();
-                       s->rows64 = sr.u64();
-                   });
-    }
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("census");
+        ar.u64(self.windowStart);
+        ar.u64(self.actsInWindow);
+        ar.map(self.counts, asU64, asU32);
+        ar.vec(self.windows_, [](auto &a, auto &s) {
+            a.u64(s.totalActs);
+            a.u64(s.rows512);
+            a.u64(s.rows128);
+            a.u64(s.rows64);
+        });
+    }
+
     void
     rollTo(Cycle now)
     {
@@ -167,7 +150,7 @@ class RowCensus
         actsInWindow = 0;
     }
 
-    Cycle windowLength;  // bh-audit: skip(windowLength) -- constructor config, keyed by ExperimentConfig
+    const Cycle windowLength;
     Cycle windowStart = 0;
     std::uint64_t actsInWindow = 0;
     std::unordered_map<std::uint64_t, std::uint32_t> counts;

@@ -240,67 +240,4 @@ TimingEngine::rankQuiesced(unsigned rank, Cycle now) const
     return true;
 }
 
-void
-TimingEngine::saveState(StateWriter &w) const
-{
-    w.tag("timing");
-    saveVector(w, banks, [](StateWriter &sw, const BankState &b) {
-        sw.b(b.open);
-        sw.u64(b.openRow);
-        sw.u64(b.nextAct);
-        sw.u64(b.nextPre);
-        sw.u64(b.nextRdWr);
-        sw.u64(b.blockedUntil);
-    });
-    saveVector(w, ranks, [](StateWriter &sw, const RankState &r) {
-        sw.u64(r.lastAct);
-        sw.u64(r.lastActBankGroup);
-        sw.b(r.hasLastAct);
-        for (Cycle c : r.fawWindow)
-            sw.u64(c);
-        sw.u64(r.fawCount);
-        sw.u64(r.fawHead);
-        sw.u64(r.blockedUntil);
-    });
-    w.u64(bus.nextRead);
-    w.u64(bus.nextWrite);
-    energy_.saveState(w);
-}
-
-void
-TimingEngine::loadState(StateReader &r)
-{
-    r.tag("timing");
-    std::vector<BankState> bank_state;
-    loadVector(r, &bank_state, [](StateReader &sr, BankState *b) {
-        b->open = sr.b();
-        b->openRow = static_cast<unsigned>(sr.u64());
-        b->nextAct = sr.u64();
-        b->nextPre = sr.u64();
-        b->nextRdWr = sr.u64();
-        b->blockedUntil = sr.u64();
-    });
-    std::vector<RankState> rank_state;
-    loadVector(r, &rank_state, [](StateReader &sr, RankState *rk) {
-        rk->lastAct = sr.u64();
-        rk->lastActBankGroup = static_cast<unsigned>(sr.u64());
-        rk->hasLastAct = sr.b();
-        for (Cycle &c : rk->fawWindow)
-            c = sr.u64();
-        rk->fawCount = static_cast<unsigned>(sr.u64());
-        rk->fawHead = static_cast<unsigned>(sr.u64());
-        rk->blockedUntil = sr.u64();
-    });
-    if (!r.ok() || bank_state.size() != banks.size() ||
-        rank_state.size() != ranks.size()) {
-        r.fail();
-        return;
-    }
-    banks = std::move(bank_state);
-    ranks = std::move(rank_state);
-    bus.nextRead = r.u64();
-    bus.nextWrite = r.u64();
-    energy_.loadState(r);
-}
-
 } // namespace bh

@@ -156,17 +156,46 @@ class TimingEngine
     const DramSpec &spec() const { return spec_; }
 
     /** Serialize bank/rank/bus timing state and energy counters. */
-    void saveState(StateWriter &w) const;
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output into a same-spec engine. */
-    void loadState(StateReader &r);
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("timing");
+        ar.fixedVec(self.banks, [](auto &a, auto &b) {
+            a.b(b.open);
+            a.u64(b.openRow);
+            a.u64(b.nextAct);
+            a.u64(b.nextPre);
+            a.u64(b.nextRdWr);
+            a.u64(b.blockedUntil);
+        });
+        ar.fixedVec(self.ranks, [](auto &a, auto &r) {
+            a.u64(r.lastAct);
+            a.u64(r.lastActBankGroup);
+            a.b(r.hasLastAct);
+            for (auto &c : r.fawWindow)
+                a.u64(c);
+            a.u64(r.fawCount);
+            a.u64(r.fawHead);
+            a.check(r.fawHead < r.fawWindow.size());
+            a.u64(r.blockedUntil);
+        });
+        ar.u64(self.bus.nextRead);
+        ar.u64(self.bus.nextWrite);
+        ar.state(self.energy_);
+    }
+
     bool actAllowedByRank(const RankState &rank, unsigned bank_group,
                           Cycle now) const;
     void recordAct(RankState &rank, unsigned bank_group, Cycle now);
 
-    DramSpec spec_;  // bh-audit: skip(spec_) -- constructor config, keyed by ExperimentConfig
+    const DramSpec spec_;
     std::vector<BankState> banks;
     std::vector<RankState> ranks;
     ChannelBusState bus;

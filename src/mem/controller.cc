@@ -608,232 +608,98 @@ MemoryController::tick(Cycle now)
 
 // --- Snapshot serialization --------------------------------------------
 
-namespace {
-
+template <class Ar, class Self>
 void
-saveRequest(StateWriter &w, const Request &req)
+MemoryController::transfer(Ar &ar, Self &self)
 {
-    w.u8(req.type == Request::Type::kWrite ? 1 : 0);
-    w.u64(req.addr);
-    w.u64(req.da.rank);
-    w.u64(req.da.bankGroup);
-    w.u64(req.da.bank);
-    w.u64(req.da.row);
-    w.u64(req.da.column);
-    w.u64(req.flatBank);
-    w.u64(req.thread);
-    w.u64(req.enqueueCycle);
-    w.u64(req.token);
-    w.b(req.uncached);
-}
+    ar.tag("controller");
+    ar.state(self.engine_);
+    ar.state(self.readQ);
+    ar.state(self.writeQ);
+    ar.b(self.drainingWrites);
+    ar.fixedVec(self.maintQ, [](auto &a, auto &q) {
+        a.vec(q, [](auto &oa, auto &op) {
+            oa.u64(op.duration);
+            oa.u64(op.victimRows);
+            oa.b(op.isMigration);
+            oa.u64(op.protectedRow);
+        });
+    });
+    ar.vec(self.pendingReads,
+           [](auto &a, auto &req) { Request::transfer(a, req); });
+    ar.vec(self.freePendingSlots, asU64);
 
-void
-loadRequest(StateReader &r, Request *req)
-{
-    req->type = r.u8() ? Request::Type::kWrite : Request::Type::kRead;
-    req->addr = r.u64();
-    req->da.rank = static_cast<unsigned>(r.u64());
-    req->da.bankGroup = static_cast<unsigned>(r.u64());
-    req->da.bank = static_cast<unsigned>(r.u64());
-    req->da.row = static_cast<unsigned>(r.u64());
-    req->da.column = static_cast<unsigned>(r.u64());
-    req->flatBank = static_cast<unsigned>(r.u64());
-    req->thread = static_cast<ThreadId>(r.u64());
-    req->enqueueCycle = r.u64();
-    req->token = r.u64();
-    req->uncached = r.b();
-}
+    // Completions travel as a list in ready order. Completion times are
+    // strictly increasing with issue order (one column command per
+    // command slot, fixed read latency), so rebuilding by pushes in this
+    // order reproduces the pop sequence exactly.
+    std::vector<PendingCompletion> ready;
+    if constexpr (!Ar::kLoading) {
+        for (auto pq = self.completions; !pq.empty(); pq.pop())
+            ready.push_back(pq.top());
+    }
+    ar.vec(ready, [](auto &a, auto &c) {
+        a.u64(c.readyAt);
+        a.u64(c.index);
+    });
+    if constexpr (Ar::kLoading) {
+        // Free slots and completions index pendingReads.
+        for (std::uint64_t slot : self.freePendingSlots)
+            ar.check(slot < self.pendingReads.size());
+        self.completions = {};
+        for (const PendingCompletion &c : ready) {
+            ar.check(c.index < self.pendingReads.size());
+            self.completions.push(c);
+        }
+        // Decoded requests index banks and per-row tracker state: each
+        // must address this channel's geometry, queued ones their bank.
+        const DramOrg &org = self.spec_.org;
+        auto addressable = [&](const Request &req) {
+            return req.da.rank < org.ranks &&
+                   req.da.bankGroup < org.bankGroups &&
+                   req.da.bank < org.banksPerGroup &&
+                   req.da.row < org.rowsPerBank &&
+                   req.da.column < org.linesPerRow &&
+                   req.flatBank == self.mapper.flatBank(req.da);
+        };
+        for (const Request &req : self.pendingReads)
+            ar.check(addressable(req));
+        for (unsigned fb = 0; fb < org.totalBanks(); ++fb)
+            for (const auto *q : {&self.readQ, &self.writeQ})
+                for (const QueuedRequest &qr : q->bank(fb))
+                    ar.check(addressable(qr.req) && qr.req.flatBank == fb);
+        self.maintOpsPending_ = 0;
+        for (const auto &q : self.maintQ)
+            self.maintOpsPending_ += q.size();
+        // The scan caches are pure accelerations of scanOf(); recompute
+        // lazily rather than serializing them.
+        for (BankScan &scan : self.readScan)
+            scan.valid = false;
+        for (BankScan &scan : self.writeScan)
+            scan.valid = false;
+    }
 
-} // namespace
-
-void
-BankedRequestQueue::saveState(
-    StateWriter &w, void (*save_req)(StateWriter &, const Request &)) const
-{
-    w.tag("bankq");
-    w.u64(banks_.size());
-    for (const std::deque<QueuedRequest> &fifo : banks_) {
-        w.u64(fifo.size());
-        for (const QueuedRequest &qr : fifo) {
-            save_req(w, qr.req);
-            w.u64(qr.seq);
-        }
-    }
-    // The active-bank list order never steers scheduling (candidates
-    // compare by seq), but restoring it verbatim keeps a resumed run on
-    // the uninterrupted run's exact trajectory.
-    saveUnsignedVector(w, active_);
-    w.u64(nextSeq_);
-}
-
-void
-BankedRequestQueue::loadState(StateReader &r,
-                              void (*load_req)(StateReader &, Request *))
-{
-    r.tag("bankq");
-    if (r.u64() != banks_.size()) {
-        r.fail();
-        return;
-    }
-    size_ = 0;
-    for (std::deque<QueuedRequest> &fifo : banks_) {
-        fifo.clear();
-        std::uint64_t n = r.u64();
-        if (!r.ok() || n > r.remaining()) {
-            r.fail();
-            return;
-        }
-        for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-            QueuedRequest qr;
-            load_req(r, &qr.req);
-            qr.seq = r.u64();
-            fifo.push_back(qr);
-        }
-        size_ += fifo.size();
-    }
-    loadUnsignedVector(r, &active_);
-    nextSeq_ = r.u64();
-    if (!r.ok())
-        return;
-    std::fill(activePos_.begin(), activePos_.end(), -1);
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        unsigned fb = active_[i];
-        if (fb >= banks_.size() || banks_[fb].empty()) {
-            r.fail();
-            return;
-        }
-        activePos_[fb] = static_cast<int>(i);
-    }
-    for (std::size_t fb = 0; fb < banks_.size(); ++fb)
-        if (!banks_[fb].empty() && activePos_[fb] < 0) {
-            r.fail(); // Non-empty bank absent from the active list.
-            return;
-        }
+    ar.fixedVec(self.nextRefAt, asU64);
+    ar.fixedVec(self.refSweepPos, asU64);
+    ar.fixedVec(self.hitStreak, asU64);
+    ar.u64(self.nextCommandAt);
+    ar.u64(self.lastSeenCycle);
+    ar.u64(self.preventiveActions_);
+    ar.u64(self.demandActs_);
+    ar.u64(self.readsServed_);
+    ar.u64(self.writesServed_);
 }
 
 void
 MemoryController::saveState(StateWriter &w) const
 {
-    w.tag("controller");
-    engine_.saveState(w);
-    readQ.saveState(w, &saveRequest);
-    writeQ.saveState(w, &saveRequest);
-    w.b(drainingWrites);
-
-    w.u64(maintQ.size());
-    for (const std::deque<MaintOp> &q : maintQ) {
-        w.u64(q.size());
-        for (const MaintOp &op : q) {
-            w.u64(op.duration);
-            w.u64(op.victimRows);
-            w.b(op.isMigration);
-            w.u64(static_cast<std::uint64_t>(op.protectedRow));
-        }
-    }
-
-    // Completions: drain a copy in ready order. Completion times are
-    // strictly increasing with issue order (one column command per
-    // command slot, fixed read latency), so rebuilding by pushes in this
-    // order reproduces the pop sequence exactly.
-    saveVector(w, pendingReads, &saveRequest);
-    saveU64Vector(w, freePendingSlots);
-    auto pq = completions;
-    w.u64(pq.size());
-    while (!pq.empty()) {
-        w.u64(pq.top().readyAt);
-        w.u64(pq.top().index);
-        pq.pop();
-    }
-
-    saveVector(w, nextRefAt, [](StateWriter &sw, Cycle c) { sw.u64(c); });
-    saveUnsignedVector(w, refSweepPos);
-    saveUnsignedVector(w, hitStreak);
-    w.u64(nextCommandAt);
-    w.u64(lastSeenCycle);
-    w.u64(preventiveActions_);
-    w.u64(demandActs_);
-    w.u64(readsServed_);
-    w.u64(writesServed_);
+    transfer(w, *this);
 }
 
 void
 MemoryController::loadState(StateReader &r)
 {
-    r.tag("controller");
-    engine_.loadState(r);
-    readQ.loadState(r, &loadRequest);
-    writeQ.loadState(r, &loadRequest);
-    drainingWrites = r.b();
-
-    if (r.u64() != maintQ.size()) {
-        r.fail();
-        return;
-    }
-    maintOpsPending_ = 0;
-    for (std::deque<MaintOp> &q : maintQ) {
-        q.clear();
-        std::uint64_t n = r.u64();
-        if (!r.ok() || n > r.remaining()) {
-            r.fail();
-            return;
-        }
-        for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-            MaintOp op;
-            op.duration = r.u64();
-            op.victimRows = static_cast<unsigned>(r.u64());
-            op.isMigration = r.b();
-            op.protectedRow = static_cast<long>(r.u64());
-            q.push_back(op);
-        }
-        maintOpsPending_ += q.size();
-    }
-
-    loadVector(r, &pendingReads, &loadRequest);
-    loadU64Vector(r, &freePendingSlots);
-    completions = decltype(completions)();
-    std::uint64_t n_completions = r.u64();
-    if (!r.ok() || n_completions > r.remaining()) {
-        r.fail();
-        return;
-    }
-    for (std::uint64_t i = 0; i < n_completions && r.ok(); ++i) {
-        PendingCompletion c{};
-        c.readyAt = r.u64();
-        c.index = r.u64();
-        if (c.index >= pendingReads.size()) {
-            r.fail();
-            return;
-        }
-        completions.push(c);
-    }
-
-    std::vector<Cycle> ref_at;
-    std::vector<unsigned> sweep, streak;
-    loadVector(r, &ref_at, [](StateReader &sr, Cycle *c) { *c = sr.u64(); });
-    loadUnsignedVector(r, &sweep);
-    loadUnsignedVector(r, &streak);
-    if (!r.ok() || ref_at.size() != nextRefAt.size() ||
-        sweep.size() != refSweepPos.size() ||
-        streak.size() != hitStreak.size()) {
-        r.fail();
-        return;
-    }
-    nextRefAt = std::move(ref_at);
-    refSweepPos = std::move(sweep);
-    hitStreak = std::move(streak);
-    nextCommandAt = r.u64();
-    lastSeenCycle = r.u64();
-    preventiveActions_ = r.u64();
-    demandActs_ = r.u64();
-    readsServed_ = r.u64();
-    writesServed_ = r.u64();
-
-    // The scan caches are pure accelerations of scanOf(); recompute
-    // lazily rather than serializing them.
-    for (BankScan &scan : readScan)
-        scan.valid = false;
-    for (BankScan &scan : writeScan)
-        scan.valid = false;
+    transfer(r, *this);
 }
 
 // --- Skip-ahead support ------------------------------------------------

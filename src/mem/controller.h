@@ -98,12 +98,10 @@ class BankedRequestQueue
     const std::vector<unsigned> &activeBanks() const { return active_; }
 
     /** Serialize the per-bank FIFOs and the global sequence counter. */
-    void saveState(StateWriter &w,
-                   void (*save_req)(StateWriter &, const Request &)) const;
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output into a same-bank-count queue. */
-    void loadState(StateReader &r,
-                   void (*load_req)(StateReader &, Request *));
+    void loadState(StateReader &r) { transfer(r, *this); }
 
     void
     push(const Request &req)
@@ -136,11 +134,46 @@ class BankedRequestQueue
     }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("bankq");
+        ar.fixedVec(self.banks_, [](auto &a, auto &fifo) {
+            a.vec(fifo, [](auto &qa, auto &qr) {
+                Request::transfer(qa, qr.req);
+                qa.u64(qr.seq);
+            });
+        });
+        // The active-bank list order never steers scheduling (candidates
+        // compare by seq), but restoring it verbatim keeps a resumed run
+        // on the uninterrupted run's exact trajectory.
+        ar.vec(self.active_, asU64);
+        ar.u64(self.nextSeq_);
+        if constexpr (Ar::kLoading) {
+            // Rebuild the index: every listed bank exists, is non-empty
+            // and is listed once; every non-empty bank is listed.
+            std::fill(self.activePos_.begin(), self.activePos_.end(), -1);
+            for (std::size_t i = 0; i < self.active_.size(); ++i) {
+                unsigned fb = self.active_[i];
+                bool listable = fb < self.banks_.size() &&
+                                !self.banks_[fb].empty() &&
+                                self.activePos_[fb] < 0;
+                ar.check(listable);
+                if (listable)
+                    self.activePos_[fb] = static_cast<int>(i);
+            }
+            self.size_ = 0;
+            for (std::size_t fb = 0; fb < self.banks_.size(); ++fb) {
+                ar.check(self.banks_[fb].empty() || self.activePos_[fb] >= 0);
+                self.size_ += self.banks_[fb].size();
+            }
+        }
+    }
+
     std::vector<std::deque<QueuedRequest>> banks_;
     std::vector<unsigned> active_;
-    // bh-audit: skip(activePos_) -- index over active_, rebuilt in loadState
     std::vector<int> activePos_; ///< Per bank: index into active_, or -1.
-    // bh-audit: skip(size_) -- recomputed from the fifos in loadState
     std::size_t size_ = 0;
     std::uint64_t nextSeq_ = 0;
 };
@@ -283,6 +316,9 @@ class MemoryController : public IMitigationHost
     void loadState(StateReader &r);
 
   private:
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &self);
+
     /** One pending RowHammer-preventive maintenance operation. */
     struct MaintOp
     {
@@ -341,23 +377,20 @@ class MemoryController : public IMitigationHost
     Cycle demandEventCycle(const BankedRequestQueue &queue, bool is_read,
                            Cycle now) const;
 
-    DramSpec spec_;            // bh-audit: skip(spec_) -- constructor config, keyed by ExperimentConfig
-    const AddressMap &mapper;  // bh-audit: skip(mapper) -- non-owning wiring, owned by System
-    McConfig config_;          // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
-    unsigned channel_ = 0;     // bh-audit: skip(channel_) -- construction identity, fixed for the run
+    const DramSpec spec_;
+    const AddressMap &mapper;
+    const McConfig config_;
+    const unsigned channel_ = 0;
     TimingEngine engine_;
 
     BankedRequestQueue readQ;
     BankedRequestQueue writeQ;
     /** Lazily refreshed scan caches, per flat bank (see scanOf()). */
-    // bh-audit: skip(readScan) -- lazy cache, invalidated in loadState
     mutable std::vector<BankScan> readScan;
-    // bh-audit: skip(writeScan) -- lazy cache, invalidated in loadState
     mutable std::vector<BankScan> writeScan;
     bool drainingWrites = false;
 
     std::vector<std::deque<MaintOp>> maintQ; ///< Per flat bank.
-    // bh-audit: skip(maintOpsPending_) -- recomputed from maintQ in loadState
     std::size_t maintOpsPending_ = 0; ///< Total ops across maintQ.
 
     // Read completions in flight.

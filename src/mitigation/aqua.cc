@@ -5,15 +5,12 @@
 namespace bh {
 
 Aqua::Aqua(unsigned n_rh, const DramSpec &spec)
-    : threshold(std::max(1u, n_rh / 8))
-{
-    resetPeriod = spec.timing.tREFW / 2;
-    double max_acts = static_cast<double>(resetPeriod) /
-                      static_cast<double>(spec.timing.tRC);
-    auto cap = static_cast<unsigned>(max_acts / threshold) + 1;
-    tables.assign(spec.org.totalBanks(),
-                  MisraGries(std::clamp(cap, 64u, 262144u)));
-}
+    : threshold(std::max(1u, n_rh / 8)),
+      resetPeriod(spec.timing.tREFW / 2),
+      tables(spec.org.totalBanks(),
+             MisraGries(MisraGries::capacityFor(resetPeriod, spec.timing.tRC,
+                                                threshold)))
+{}
 
 void
 Aqua::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
@@ -31,31 +28,6 @@ Aqua::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
         ++migrations_;
         host->performMigration(flat_bank, row);
     }
-}
-
-void
-Aqua::saveState(StateWriter &w) const
-{
-    w.tag("aqua");
-    w.u64(lastReset);
-    w.u64(migrations_);
-    w.u64(tables.size());
-    for (const MisraGries &t : tables)
-        t.saveState(w);
-}
-
-void
-Aqua::loadState(StateReader &r)
-{
-    r.tag("aqua");
-    lastReset = r.u64();
-    migrations_ = r.u64();
-    if (r.u64() != tables.size()) {
-        r.fail();
-        return;
-    }
-    for (MisraGries &t : tables)
-        t.loadState(r);
 }
 
 } // namespace bh

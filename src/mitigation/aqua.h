@@ -32,15 +32,25 @@ class Aqua : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     unsigned migrationThreshold() const { return threshold; }
     std::uint64_t migrations() const { return migrations_; }
 
   private:
-    unsigned threshold;  // bh-audit: skip(threshold) -- constructor config, keyed by ExperimentConfig
-    Cycle resetPeriod;   // bh-audit: skip(resetPeriod) -- constructor config, keyed by ExperimentConfig
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("aqua");
+        ar.u64(self.lastReset);
+        ar.u64(self.migrations_);
+        ar.fixedVec(self.tables, asState);
+    }
+
+    const unsigned threshold;
+    const Cycle resetPeriod;
     Cycle lastReset = 0;
     std::vector<MisraGries> tables;
     std::uint64_t migrations_ = 0;

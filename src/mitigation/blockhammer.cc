@@ -8,14 +8,13 @@ BlockHammer::BlockHammer(unsigned n_rh, const DramSpec &spec,
                          unsigned num_threads)
     : nbl(std::max(2u, n_rh / 4)),
       epochLength(spec.timing.tREFW / 2),
+      // After blacklisting at NBL, spacing ACTs by tDelay caps a row at
+      // NBL + epoch/tDelay <= N_RH / 2 activations per epoch, i.e., at
+      // most N_RH per refresh window across the two epochs it can span.
+      tDelay(epochLength / std::max(1u, nbl)),
       threadBlacklistActs(num_threads, 0),
       attackThreshold(std::max(4u, n_rh / 2))
-{
-    // After blacklisting at NBL, spacing ACTs by tDelay caps a row at
-    // NBL + epoch/tDelay <= N_RH / 2 activations per epoch, i.e., at most
-    // N_RH per refresh window across the two epochs it can span.
-    tDelay = epochLength / std::max(1u, nbl);
-}
+{}
 
 void
 BlockHammer::rollEpoch(Cycle now)
@@ -85,45 +84,6 @@ BlockHammer::nextTimedEventCycle(Cycle now) const
     while (boundary <= now)
         boundary += epochLength;
     return boundary;
-}
-
-void
-BlockHammer::saveState(StateWriter &w) const
-{
-    w.tag("blockhammer");
-    w.u64(epochStart);
-    w.u64(active);
-    cbf[0].saveState(w);
-    cbf[1].saveState(w);
-    saveUnorderedMap(
-        w, lastBlacklistedAct,
-        [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-        [](StateWriter &sw, Cycle v) { sw.u64(v); });
-    saveU64Vector(w, threadBlacklistActs);
-    w.u64(blacklistedActs_);
-}
-
-void
-BlockHammer::loadState(StateReader &r)
-{
-    r.tag("blockhammer");
-    epochStart = r.u64();
-    active = static_cast<unsigned>(r.u64());
-    cbf[0].loadState(r);
-    cbf[1].loadState(r);
-    loadUnorderedMap(
-        r, &lastBlacklistedAct,
-        [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-        [](StateReader &sr, Cycle *v) { *v = sr.u64(); });
-    std::vector<std::uint64_t> acts;
-    loadU64Vector(r, &acts);
-    if (!r.ok() || acts.size() != threadBlacklistActs.size() ||
-        active > 1) {
-        r.fail();
-        return;
-    }
-    threadBlacklistActs = std::move(acts);
-    blacklistedActs_ = r.u64();
 }
 
 } // namespace bh

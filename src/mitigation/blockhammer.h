@@ -57,28 +57,20 @@ class CountingBloomFilter
     void clear() { std::fill(counters.begin(), counters.end(), 0); }
 
     /** Serialize the counter array. */
-    void
-    saveState(StateWriter &w) const
-    {
-        w.tag("cbf");
-        saveU32Vector(w, counters);
-    }
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output into a same-geometry filter. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("cbf");
-        std::vector<std::uint32_t> c;
-        loadU32Vector(r, &c);
-        if (!r.ok() || c.size() != counters.size()) {
-            r.fail();
-            return;
-        }
-        counters = std::move(c);
-    }
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("cbf");
+        ar.fixedVec(self.counters, asU32);
+    }
+
     std::size_t
     slot(std::uint64_t key, unsigned h) const
     {
@@ -91,7 +83,7 @@ class CountingBloomFilter
     }
 
     std::vector<std::uint32_t> counters;
-    unsigned numHashes;  // bh-audit: skip(numHashes) -- constructor config, keyed by ExperimentConfig
+    const unsigned numHashes;
 };
 
 /** BlockHammer mitigation mechanism. */
@@ -128,14 +120,29 @@ class BlockHammer : public IMitigation
     /** Attach the AttackThrottler's resource target (optional). */
     void setThrottleTarget(IThrottleTarget *t) { throttleTarget = t; }
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     unsigned blacklistThreshold() const { return nbl; }
     Cycle blacklistDelay() const { return tDelay; }
     std::uint64_t blacklistedActs() const { return blacklistedActs_; }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("blockhammer");
+        ar.u64(self.epochStart);
+        ar.u64(self.active);
+        ar.check(self.active <= 1);
+        ar.state(self.cbf[0]);
+        ar.state(self.cbf[1]);
+        ar.map(self.lastBlacklistedAct, asU64, asU64);
+        ar.fixedVec(self.threadBlacklistActs, asU64);
+        ar.u64(self.blacklistedActs_);
+    }
+
     void rollEpoch(Cycle now);
 
     std::uint64_t
@@ -144,12 +151,9 @@ class BlockHammer : public IMitigation
         return (static_cast<std::uint64_t>(flat_bank) << 32) | row;
     }
 
-    // bh-audit: skip(nbl) -- constructor config, keyed by ExperimentConfig
-    unsigned nbl;    ///< Blacklist threshold (N_RH / 4).
-    // bh-audit: skip(tDelay) -- constructor config, keyed by ExperimentConfig
-    Cycle tDelay;    ///< Enforced ACT spacing for blacklisted rows.
-    // bh-audit: skip(epochLength) -- constructor config, keyed by ExperimentConfig
-    Cycle epochLength;
+    const unsigned nbl;    ///< Blacklist threshold (N_RH / 4).
+    const Cycle epochLength;
+    const Cycle tDelay;    ///< Enforced ACT spacing for blacklisted rows.
     Cycle epochStart = 0;
 
     /** Two time-interleaved CBFs; `active` is the fully trained one. */
@@ -163,8 +167,7 @@ class BlockHammer : public IMitigation
     // bh-audit: skip(throttleTarget) -- non-owning wiring installed by System
     IThrottleTarget *throttleTarget = nullptr;
     std::vector<std::uint64_t> threadBlacklistActs;
-    // bh-audit: skip(attackThreshold) -- constructor config, keyed by ExperimentConfig
-    unsigned attackThreshold;
+    const unsigned attackThreshold;
     std::uint64_t blacklistedActs_ = 0;
 };
 

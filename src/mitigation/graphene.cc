@@ -5,17 +5,12 @@
 namespace bh {
 
 Graphene::Graphene(unsigned n_rh, const DramSpec &spec)
-    : threshold(std::max(1u, n_rh / 8))
-{
-    // Max activations a bank can absorb within one reset period bounds the
-    // number of rows that can reach the threshold, which sizes the table.
-    resetPeriod = spec.timing.tREFW / 2;
-    double max_acts = static_cast<double>(resetPeriod) /
-                      static_cast<double>(spec.timing.tRC);
-    auto cap = static_cast<unsigned>(max_acts / threshold) + 1;
-    capacity = std::clamp(cap, 64u, 262144u);
-    tables.assign(spec.org.totalBanks(), MisraGries(capacity));
-}
+    : threshold(std::max(1u, n_rh / 8)),
+      resetPeriod(spec.timing.tREFW / 2),
+      capacity(MisraGries::capacityFor(resetPeriod, spec.timing.tRC,
+                                       threshold)),
+      tables(spec.org.totalBanks(), MisraGries(capacity))
+{}
 
 void
 Graphene::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
@@ -32,29 +27,6 @@ Graphene::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
         table.resetRow(row);
         host->performVictimRefresh(flat_bank, row, 1.0);
     }
-}
-
-void
-Graphene::saveState(StateWriter &w) const
-{
-    w.tag("graphene");
-    w.u64(lastReset);
-    w.u64(tables.size());
-    for (const MisraGries &t : tables)
-        t.saveState(w);
-}
-
-void
-Graphene::loadState(StateReader &r)
-{
-    r.tag("graphene");
-    lastReset = r.u64();
-    if (r.u64() != tables.size()) {
-        r.fail();
-        return;
-    }
-    for (MisraGries &t : tables)
-        t.loadState(r);
 }
 
 } // namespace bh

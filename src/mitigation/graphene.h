@@ -30,16 +30,25 @@ class Graphene : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     unsigned refreshThreshold() const { return threshold; }
     unsigned tableCapacity() const { return capacity; }
 
   private:
-    unsigned threshold;  // bh-audit: skip(threshold) -- constructor config, keyed by ExperimentConfig
-    unsigned capacity;   // bh-audit: skip(capacity) -- constructor config, keyed by ExperimentConfig
-    Cycle resetPeriod;   // bh-audit: skip(resetPeriod) -- constructor config, keyed by ExperimentConfig
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("graphene");
+        ar.u64(self.lastReset);
+        ar.fixedVec(self.tables, asState);
+    }
+
+    const unsigned threshold;
+    const Cycle resetPeriod;
+    const unsigned capacity;
     Cycle lastReset = 0;
     std::vector<MisraGries> tables; ///< One per flat bank.
 };

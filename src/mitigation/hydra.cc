@@ -9,18 +9,17 @@ Hydra::Hydra(unsigned n_rh, const DramSpec &spec, unsigned rows_per_group,
     : rowTh(std::max(2u, n_rh / 4)),
       groupTh(std::max(1u, n_rh / 8)),
       rowsPerGroup(rows_per_group),
-      rccCapacity(rcc_entries)
-{
-    // An RCT access behaves like one DRAM read: ACT + RD + PRE worth of
-    // bank occupancy.
-    rctAccessLatency = spec.timing.tRCD + spec.timing.tCL +
-                       spec.timing.tBL + spec.timing.tRP;
-    windowLength = spec.timing.tREFW / 2;
-    unsigned groups_per_bank =
-        (spec.org.rowsPerBank + rows_per_group - 1) / rows_per_group;
-    gct.assign(spec.org.totalBanks(),
-               std::vector<std::uint32_t>(groups_per_bank, 0));
-}
+      rccCapacity(rcc_entries),
+      // An RCT access behaves like one DRAM read: ACT + RD + PRE worth of
+      // bank occupancy.
+      rctAccessLatency(spec.timing.tRCD + spec.timing.tCL +
+                       spec.timing.tBL + spec.timing.tRP),
+      windowLength(spec.timing.tREFW / 2),
+      gct(spec.org.totalBanks(),
+          std::vector<std::uint32_t>(
+              (spec.org.rowsPerBank + rows_per_group - 1) / rows_per_group,
+              0))
+{}
 
 void
 Hydra::rccTouch(std::uint64_t row_key, unsigned flat_bank)
@@ -75,61 +74,6 @@ Hydra::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
     if (++it->second >= rowTh) {
         it->second = 0;
         host->performVictimRefresh(flat_bank, row, 1.0);
-    }
-}
-
-void
-Hydra::saveState(StateWriter &w) const
-{
-    w.tag("hydra");
-    w.u64(windowStart);
-    w.u64(rccMisses_);
-    w.u64(gct.size());
-    for (const auto &bank : gct)
-        saveU32Vector(w, bank);
-    saveUnorderedMap(
-        w, rct, [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-        [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-    // The RCC is an LRU list plus a key->iterator index; the list order
-    // IS the replacement state, so it serializes front to back and the
-    // index is rebuilt on load.
-    w.u64(rccLru.size());
-    for (std::uint64_t key : rccLru)
-        w.u64(key);
-}
-
-void
-Hydra::loadState(StateReader &r)
-{
-    r.tag("hydra");
-    windowStart = r.u64();
-    rccMisses_ = r.u64();
-    if (r.u64() != gct.size()) {
-        r.fail();
-        return;
-    }
-    for (auto &bank : gct) {
-        std::vector<std::uint32_t> counts;
-        loadU32Vector(r, &counts);
-        if (!r.ok() || counts.size() != bank.size()) {
-            r.fail();
-            return;
-        }
-        bank = std::move(counts);
-    }
-    loadUnorderedMap(
-        r, &rct, [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-        [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining()) {
-        r.fail();
-        return;
-    }
-    rccLru.clear();
-    rccIndex.clear();
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        rccLru.push_back(r.u64());
-        rccIndex[rccLru.back()] = std::prev(rccLru.end());
     }
 }
 

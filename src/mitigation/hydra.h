@@ -35,8 +35,8 @@ class Hydra : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     unsigned rowThreshold() const { return rowTh; }
     unsigned groupThreshold() const { return groupTh; }
@@ -46,12 +46,36 @@ class Hydra : public IMitigation
     /** Touch the RCC; on miss, charge the DRAM-side RCT access. */
     void rccTouch(std::uint64_t row_key, unsigned flat_bank);
 
-    unsigned rowTh;          // bh-audit: skip(rowTh) -- constructor config, keyed by ExperimentConfig
-    unsigned groupTh;        // bh-audit: skip(groupTh) -- constructor config, keyed by ExperimentConfig
-    unsigned rowsPerGroup;   // bh-audit: skip(rowsPerGroup) -- constructor config, keyed by ExperimentConfig
-    unsigned rccCapacity;    // bh-audit: skip(rccCapacity) -- constructor config, keyed by ExperimentConfig
-    Cycle rctAccessLatency;  // bh-audit: skip(rctAccessLatency) -- constructor config, keyed by ExperimentConfig
-    Cycle windowLength;      // bh-audit: skip(windowLength) -- constructor config, keyed by ExperimentConfig
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("hydra");
+        ar.u64(self.windowStart);
+        ar.u64(self.rccMisses_);
+        ar.fixedVec(self.gct,
+                    [](auto &a, auto &bank) { a.fixedVec(bank, asU32); });
+        ar.map(self.rct, asU64, asU32);
+        // The RCC is an LRU list plus a key->iterator index; the list
+        // order IS the replacement state, so it serializes front to back
+        // and the index is rebuilt on load.
+        ar.vec(self.rccLru, asU64);
+        if constexpr (Ar::kLoading) {
+            self.rccIndex.clear();
+            for (auto it = self.rccLru.begin(); it != self.rccLru.end();
+                 ++it)
+                self.rccIndex[*it] = it;
+            ar.check(self.rccIndex.size() == self.rccLru.size() &&
+                     self.rccLru.size() <= self.rccCapacity);
+        }
+    }
+
+    const unsigned rowTh;
+    const unsigned groupTh;
+    const unsigned rowsPerGroup;
+    const unsigned rccCapacity;
+    const Cycle rctAccessLatency;
+    const Cycle windowLength;
     Cycle windowStart = 0;
 
     /** GCT: per-bank vector of group counters. */
@@ -60,7 +84,6 @@ class Hydra : public IMitigation
     std::unordered_map<std::uint64_t, std::uint32_t> rct;
     /** RCC: LRU cache over RCT keys. */
     std::list<std::uint64_t> rccLru;
-    // bh-audit: skip(rccIndex) -- iterator index over rccLru, rebuilt in loadState
     std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
         rccIndex;
 

@@ -12,11 +12,13 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 
 #include "common/log.h"
 #include "common/snapshot.h"
+#include "common/types.h"
 
 namespace bh {
 
@@ -24,6 +26,20 @@ namespace bh {
 class MisraGries
 {
   public:
+    /**
+     * Counters a bank needs so every row that can reach @p threshold
+     * activations within @p period (at one ACT per @p t_rc) is tracked,
+     * clamped to [64, 262144].
+     */
+    static unsigned
+    capacityFor(Cycle period, Cycle t_rc, unsigned threshold)
+    {
+        double max_acts =
+            static_cast<double>(period) / static_cast<double>(t_rc);
+        auto cap = static_cast<unsigned>(max_acts / threshold) + 1;
+        return std::clamp(cap, 64u, 262144u);
+    }
+
     explicit MisraGries(unsigned capacity) : capacity_(capacity)
     {
         BH_ASSERT(capacity > 0, "Misra-Gries needs at least one counter");
@@ -92,35 +108,25 @@ class MisraGries
     unsigned capacity() const { return capacity_; }
 
     /**
-     * Serialize the summary. Iteration order is part of the state here:
-     * reclaimOne() erases the first stale entry an iteration finds, so
-     * the table's bucket structure must survive the round trip
-     * (saveUnorderedMap/loadUnorderedMap guarantee that).
+     * Iteration order is part of the state here: reclaimOne() erases the
+     * first stale entry an iteration finds, so the table's bucket
+     * structure must survive the round trip (map() guarantees that).
      */
-    void
-    saveState(StateWriter &w) const
-    {
-        w.tag("misra_gries");
-        w.u64(offset);
-        saveUnorderedMap(
-            w, table,
-            [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-            [](StateWriter &sw, std::uint64_t v) { sw.u64(v); });
-    }
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output into a same-capacity summary. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("misra_gries");
-        offset = r.u64();
-        loadUnorderedMap(
-            r, &table,
-            [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-            [](StateReader &sr, std::uint64_t *v) { *v = sr.u64(); });
-    }
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("misra_gries");
+        ar.u64(self.offset);
+        ar.map(self.table, asU64, asU64);
+    }
+
     /** Erase one stale entry if any exists (amortized by full scan). */
     bool
     reclaimOne()
@@ -134,7 +140,7 @@ class MisraGries
         return false;
     }
 
-    unsigned capacity_;  // bh-audit: skip(capacity_) -- constructor config, keyed by ExperimentConfig
+    const unsigned capacity_;
     std::uint64_t offset = 0;
     std::unordered_map<std::uint64_t, std::uint64_t> table;
 };

@@ -210,7 +210,6 @@ class IMitigation
     void setHost(IMitigationHost *h) { host = h; }
 
   protected:
-    // bh-audit: skip(host) -- non-owning back-pointer installed by System
     IMitigationHost *host = nullptr;
 };
 

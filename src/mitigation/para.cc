@@ -29,20 +29,4 @@ Para::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
         host->performVictimRefresh(flat_bank, row, 1.0);
 }
 
-void
-Para::saveState(StateWriter &w) const
-{
-    w.tag("para");
-    w.u64(rng.rawState());
-}
-
-void
-Para::loadState(StateReader &r)
-{
-    r.tag("para");
-    std::uint64_t raw = r.u64();
-    if (r.ok())
-        rng.setRawState(raw);
-}
-
 } // namespace bh

@@ -31,8 +31,8 @@ class Para : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     /** The configured refresh probability. */
     double probability() const { return p; }
@@ -41,7 +41,15 @@ class Para : public IMitigation
     static double deriveProbability(unsigned n_rh, double fail_probability);
 
   private:
-    double p;  // bh-audit: skip(p) -- constructor config, keyed by ExperimentConfig
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("para");
+        ar.state(self.rng);
+    }
+
+    const double p;
     Rng rng;
 };
 

@@ -52,33 +52,4 @@ Prac::onPeriodicRefresh(unsigned rank, unsigned sweep_start,
     }
 }
 
-void
-Prac::saveState(StateWriter &w) const
-{
-    w.tag("prac");
-    w.u64(alerts_);
-    w.u64(rowCounts.size());
-    for (const auto &bank_counts : rowCounts)
-        saveUnorderedMap(
-            w, bank_counts,
-            [](StateWriter &sw, std::uint32_t k) { sw.u32(k); },
-            [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-}
-
-void
-Prac::loadState(StateReader &r)
-{
-    r.tag("prac");
-    alerts_ = r.u64();
-    if (r.u64() != rowCounts.size()) {
-        r.fail();
-        return;
-    }
-    for (auto &bank_counts : rowCounts)
-        loadUnorderedMap(
-            r, &bank_counts,
-            [](StateReader &sr, std::uint32_t *k) { *k = sr.u32(); },
-            [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
-}
-
 } // namespace bh

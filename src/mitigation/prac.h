@@ -40,18 +40,28 @@ class Prac : public IMitigation
     void onPeriodicRefresh(unsigned rank, unsigned sweep_start,
                            unsigned sweep_rows, Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     unsigned alertThreshold() const { return alertTh; }
     std::uint64_t alerts() const { return alerts_; }
 
   private:
-    unsigned alertTh;  // bh-audit: skip(alertTh) -- constructor config, keyed by ExperimentConfig
-    unsigned aboRfms;  // bh-audit: skip(aboRfms) -- constructor config, keyed by ExperimentConfig
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("prac");
+        ar.u64(self.alerts_);
+        ar.fixedVec(self.rowCounts,
+                    [](auto &a, auto &counts) { a.map(counts, asU32, asU32); });
+    }
+
+    const unsigned alertTh;
+    const unsigned aboRfms;
     std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> rowCounts;
-    unsigned banksPerRank;  // bh-audit: skip(banksPerRank) -- constructor config, keyed by ExperimentConfig
-    unsigned rowsPerBank;   // bh-audit: skip(rowsPerBank) -- constructor config, keyed by ExperimentConfig
+    const unsigned banksPerRank;
+    const unsigned rowsPerBank;
     std::uint64_t alerts_ = 0;
 };
 

@@ -34,14 +34,21 @@ class Rega : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     unsigned scorePeriod() const { return regaT; }
 
   private:
-    // bh-audit: skip(regaT) -- constructor config, keyed by ExperimentConfig
-    unsigned regaT; ///< Activations per attributed score point.
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("rega");
+        ar.fixedVec(self.threadActs, asU64);
+    }
+
+    const unsigned regaT; ///< Activations per attributed score point.
     std::vector<std::uint64_t> threadActs;
 };
 

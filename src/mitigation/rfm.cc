@@ -53,36 +53,4 @@ Rfm::onPeriodicRefresh(unsigned rank, unsigned sweep_start,
     }
 }
 
-void
-Rfm::saveState(StateWriter &w) const
-{
-    w.tag("rfm");
-    saveUnsignedVector(w, raa);
-    w.u64(rowCounts.size());
-    for (const auto &bank_counts : rowCounts)
-        saveUnorderedMap(
-            w, bank_counts,
-            [](StateWriter &sw, std::uint32_t k) { sw.u32(k); },
-            [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-}
-
-void
-Rfm::loadState(StateReader &r)
-{
-    r.tag("rfm");
-    std::vector<unsigned> raa_state;
-    loadUnsignedVector(r, &raa_state);
-    if (!r.ok() || raa_state.size() != raa.size() ||
-        r.u64() != rowCounts.size()) {
-        r.fail();
-        return;
-    }
-    raa = std::move(raa_state);
-    for (auto &bank_counts : rowCounts)
-        loadUnorderedMap(
-            r, &bank_counts,
-            [](StateReader &sr, std::uint32_t *k) { *k = sr.u32(); },
-            [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
-}
-
 } // namespace bh

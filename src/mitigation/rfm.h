@@ -35,22 +35,30 @@ class Rfm : public IMitigation
     void onPeriodicRefresh(unsigned rank, unsigned sweep_start,
                            unsigned sweep_rows, Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     unsigned raaimt() const { return raaimt_; }
     unsigned serviceThreshold() const { return serviceTh; }
 
   private:
-    // bh-audit: skip(raaimt_) -- constructor config, keyed by ExperimentConfig
-    unsigned raaimt_;   ///< RAA Initial Management Threshold.
-    // bh-audit: skip(serviceTh) -- constructor config, keyed by ExperimentConfig
-    unsigned serviceTh; ///< DRAM-side per-row service threshold.
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("rfm");
+        ar.fixedVec(self.raa, asU64);
+        ar.fixedVec(self.rowCounts,
+                    [](auto &a, auto &counts) { a.map(counts, asU32, asU32); });
+    }
+
+    const unsigned raaimt_;   ///< RAA Initial Management Threshold.
+    const unsigned serviceTh; ///< DRAM-side per-row service threshold.
     std::vector<unsigned> raa; ///< Per-bank rolling activation counter.
     /** DRAM-side per-row activation counters, one map per bank. */
     std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> rowCounts;
-    unsigned banksPerRank;  // bh-audit: skip(banksPerRank) -- constructor config, keyed by ExperimentConfig
-    unsigned rowsPerBank;   // bh-audit: skip(rowsPerBank) -- constructor config, keyed by ExperimentConfig
+    const unsigned banksPerRank;
+    const unsigned rowsPerBank;
 };
 
 } // namespace bh

@@ -5,17 +5,16 @@
 namespace bh {
 
 Twice::Twice(unsigned n_rh, const DramSpec &spec)
-    : threshold(std::max(1u, n_rh / 4)), tables(spec.org.totalBanks())
-{
-    // Pruning happens every 16 REF intervals; the prune rate is the pace a
-    // row must sustain to ever reach the trigger threshold in a window.
-    refsPerPrune = 16;
-    double periods_per_window =
-        static_cast<double>(spec.timing.tREFW) /
-        (static_cast<double>(spec.timing.tREFI) * refsPerPrune);
-    pruneRate = static_cast<double>(threshold) / periods_per_window;
-    windowLength = spec.timing.tREFW / 2;
-}
+    : threshold(std::max(1u, n_rh / 4)),
+      // Pruning happens every 16 REF intervals; the prune rate is the pace
+      // a row must sustain to ever reach the trigger threshold in a window.
+      refsPerPrune(16),
+      pruneRate(static_cast<double>(threshold) /
+                (static_cast<double>(spec.timing.tREFW) /
+                 (static_cast<double>(spec.timing.tREFI) * refsPerPrune))),
+      windowLength(spec.timing.tREFW / 2),
+      tables(spec.org.totalBanks())
+{}
 
 void
 Twice::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
@@ -57,43 +56,6 @@ Twice::onPeriodicRefresh(unsigned rank, unsigned sweep_start,
             }
         }
     }
-}
-
-void
-Twice::saveState(StateWriter &w) const
-{
-    w.tag("twice");
-    w.u64(refsSeen);
-    w.u64(windowStart);
-    w.u64(tables.size());
-    for (const auto &table : tables)
-        saveUnorderedMap(
-            w, table,
-            [](StateWriter &sw, std::uint32_t k) { sw.u32(k); },
-            [](StateWriter &sw, const Entry &e) {
-                sw.u32(e.acts);
-                sw.u32(e.life);
-            });
-}
-
-void
-Twice::loadState(StateReader &r)
-{
-    r.tag("twice");
-    refsSeen = static_cast<unsigned>(r.u64());
-    windowStart = r.u64();
-    if (r.u64() != tables.size()) {
-        r.fail();
-        return;
-    }
-    for (auto &table : tables)
-        loadUnorderedMap(
-            r, &table,
-            [](StateReader &sr, std::uint32_t *k) { *k = sr.u32(); },
-            [](StateReader &sr, Entry *e) {
-                e->acts = sr.u32();
-                e->life = sr.u32();
-            });
 }
 
 } // namespace bh

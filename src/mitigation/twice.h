@@ -33,8 +33,8 @@ class Twice : public IMitigation
     void onPeriodicRefresh(unsigned rank, unsigned sweep_start,
                            unsigned sweep_rows, Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     unsigned triggerThreshold() const { return threshold; }
 
@@ -51,13 +51,26 @@ class Twice : public IMitigation
         std::uint32_t life = 0; ///< Age in pruning periods.
     };
 
-    unsigned threshold;  // bh-audit: skip(threshold) -- constructor config, keyed by ExperimentConfig
-    // bh-audit: skip(pruneRate) -- constructor config, keyed by ExperimentConfig
-    double pruneRate; ///< Minimum ACTs per period to stay tracked.
-    // bh-audit: skip(refsPerPrune) -- constructor config, keyed by ExperimentConfig
-    unsigned refsPerPrune;
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("twice");
+        ar.u64(self.refsSeen);
+        ar.u64(self.windowStart);
+        ar.fixedVec(self.tables, [](auto &a, auto &table) {
+            a.map(table, asU32, [](auto &ea, auto &e) {
+                ea.u32(e.acts);
+                ea.u32(e.life);
+            });
+        });
+    }
+
+    const unsigned threshold;
+    const unsigned refsPerPrune;
+    const double pruneRate; ///< Minimum ACTs per period to stay tracked.
     unsigned refsSeen = 0;
-    Cycle windowLength;  // bh-audit: skip(windowLength) -- constructor config, keyed by ExperimentConfig
+    const Cycle windowLength;
     Cycle windowStart = 0;
     std::vector<std::unordered_map<std::uint32_t, Entry>> tables;
 };

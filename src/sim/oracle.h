@@ -75,39 +75,30 @@ class HammerOracle
     unsigned threshold() const { return nRh; }
 
     /** Serialize the per-row counts and the verdict counters. */
-    void
-    saveState(StateWriter &w) const
-    {
-        w.tag("oracle");
-        saveUnorderedMap(
-            w, counts, [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-            [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-        w.u64(violations_);
-        w.u64(maxCount_);
-    }
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("oracle");
-        loadUnorderedMap(
-            r, &counts,
-            [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-            [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
-        violations_ = r.u64();
-        maxCount_ = static_cast<std::uint32_t>(r.u64());
-    }
+    void loadState(StateReader &r) { transfer(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("oracle");
+        ar.map(self.counts, asU64, asU32);
+        ar.u64(self.violations_);
+        ar.u64(self.maxCount_);
+    }
+
     static std::uint64_t
     key(unsigned flat_bank, unsigned row)
     {
         return (static_cast<std::uint64_t>(flat_bank) << 32) | row;
     }
 
-    DramOrg org_;  // bh-audit: skip(org_) -- constructor config, keyed by ExperimentConfig
-    unsigned nRh;  // bh-audit: skip(nRh) -- constructor config, keyed by ExperimentConfig
+    const DramOrg org_;
+    const unsigned nRh;
     std::unordered_map<std::uint64_t, std::uint32_t> counts;
     std::uint64_t violations_ = 0;
     std::uint32_t maxCount_ = 0;

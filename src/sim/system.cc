@@ -940,132 +940,70 @@ System::configFingerprint() const
     return fnv1a64(w.data().data(), w.data().size());
 }
 
+template <class Ar, class Self>
 void
-System::saveState(StateWriter &w) const
+System::transfer(Ar &ar, Self &self)
 {
-    w.tag("system");
-    w.u64(now);
-    w.u64(uncachedKeyCounter);
-    w.u64(completedReads);
-    latencyHist.saveState(w);
-    saveBoolVector(w, rejectCountsQuota);
-    saveBoolVector(w, rejectTouchesLlc);
-    saveU64VectorBulk(w, demandActsByThread_);
+    ar.tag("system");
+    ar.u64(self.now);
+    ar.u64(self.uncachedKeyCounter);
+    ar.u64(self.completedReads);
+    ar.state(self.latencyHist);
+    // Per-thread vectors, sized numCores at construction.
+    ar.fixedVec(self.rejectCountsQuota, asBool);
+    ar.fixedVec(self.rejectTouchesLlc, asBool);
+    ar.fixedVec(self.demandActsByThread_, asU64);
 
     // The skip loop's retry-state snapshot: restoring it keeps a resumed
     // run on the interrupted run's exact skip trajectory.
-    w.tag("rejectsnap");
-    w.u64(prevSnap.mshrInflight);
-    saveU64VectorBulk(w, prevSnap.readDepth);
-    saveU64VectorBulk(w, prevSnap.writeDepth);
-    saveU64VectorBulk(w, prevSnap.readsServed);
-    saveU64VectorBulk(w, prevSnap.writesServed);
-    w.u64(prevSnap.completedReads);
-    w.u64(prevSnap.quotaWrites);
-    saveUnsignedVector(w, prevSnap.quotas);
-    saveUnsignedVector(w, prevSnap.inflight);
+    ar.tag("rejectsnap");
+    ar.u64(self.prevSnap.mshrInflight);
+    ar.vec(self.prevSnap.readDepth, asU64);
+    ar.vec(self.prevSnap.writeDepth, asU64);
+    ar.vec(self.prevSnap.readsServed, asU64);
+    ar.vec(self.prevSnap.writesServed, asU64);
+    ar.u64(self.prevSnap.completedReads);
+    ar.u64(self.prevSnap.quotaWrites);
+    ar.vec(self.prevSnap.quotas, asU64);
+    ar.vec(self.prevSnap.inflight, asU64);
 
-    llc.saveState(w);
-    mshr.saveState(w);
+    ar.state(self.llc);
+    ar.state(self.mshr);
 
     // One section per channel: controller, then its mitigation/oracle/
     // census instances (presence flags match the constructed graph).
-    w.tag("channels");
-    w.u64(mcs.size());
-    for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
-        mcs[ch]->saveState(w);
-        w.b(mitigations[ch] != nullptr);
-        if (mitigations[ch])
-            mitigations[ch]->saveState(w);
-        w.b(!oracles.empty());
-        if (!oracles.empty())
-            oracles[ch]->saveState(w);
-        w.b(!censuses.empty());
-        if (!censuses.empty())
-            censuses[ch]->saveState(w);
+    ar.tag("channels");
+    ar.expectU64(self.mcs.size());
+    for (std::size_t ch = 0; ch < self.mcs.size(); ++ch) {
+        ar.state(self.mcs[ch]);
+        ar.expectB(self.mitigations[ch] != nullptr);
+        if (self.mitigations[ch])
+            ar.state(self.mitigations[ch]);
+        ar.expectB(!self.oracles.empty());
+        if (!self.oracles.empty())
+            ar.state(self.oracles[ch]);
+        ar.expectB(!self.censuses.empty());
+        if (!self.censuses.empty())
+            ar.state(self.censuses[ch]);
     }
 
-    w.b(bh != nullptr);
-    if (bh)
-        bh->saveState(w);
+    ar.expectB(self.bh != nullptr);
+    if (self.bh)
+        ar.state(self.bh);
 
-    w.u64(cores.size());
-    for (const auto &core : cores)
-        core->saveState(w);
+    ar.fixedVec(self.cores, asState);
+}
+
+void
+System::saveState(StateWriter &w) const
+{
+    transfer(w, *this);
 }
 
 void
 System::loadState(StateReader &r)
 {
-    r.tag("system");
-    now = r.u64();
-    uncachedKeyCounter = r.u64();
-    completedReads = r.u64();
-    latencyHist.loadState(r);
-    loadBoolVector(r, &rejectCountsQuota);
-    loadBoolVector(r, &rejectTouchesLlc);
-    loadU64VectorBulk(r, &demandActsByThread_);
-    if (!r.ok() || rejectCountsQuota.size() != config_.numCores ||
-        rejectTouchesLlc.size() != config_.numCores ||
-        demandActsByThread_.size() != config_.numCores) {
-        r.fail();
-        return;
-    }
-
-    r.tag("rejectsnap");
-    prevSnap.mshrInflight = static_cast<unsigned>(r.u64());
-    loadU64VectorBulk(r, &prevSnap.readDepth);
-    loadU64VectorBulk(r, &prevSnap.writeDepth);
-    loadU64VectorBulk(r, &prevSnap.readsServed);
-    loadU64VectorBulk(r, &prevSnap.writesServed);
-    prevSnap.completedReads = r.u64();
-    prevSnap.quotaWrites = r.u64();
-    loadUnsignedVector(r, &prevSnap.quotas);
-    loadUnsignedVector(r, &prevSnap.inflight);
-
-    llc.loadState(r);
-    mshr.loadState(r);
-
-    r.tag("channels");
-    if (r.u64() != mcs.size()) {
-        r.fail();
-        return;
-    }
-    for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
-        mcs[ch]->loadState(r);
-        if (r.b() != (mitigations[ch] != nullptr)) {
-            r.fail();
-            return;
-        }
-        if (mitigations[ch])
-            mitigations[ch]->loadState(r);
-        if (r.b() != !oracles.empty()) {
-            r.fail();
-            return;
-        }
-        if (!oracles.empty())
-            oracles[ch]->loadState(r);
-        if (r.b() != !censuses.empty()) {
-            r.fail();
-            return;
-        }
-        if (!censuses.empty())
-            censuses[ch]->loadState(r);
-    }
-
-    if (r.b() != (bh != nullptr)) {
-        r.fail();
-        return;
-    }
-    if (bh)
-        bh->loadState(r);
-
-    if (r.u64() != cores.size()) {
-        r.fail();
-        return;
-    }
-    for (auto &core : cores)
-        core->loadState(r);
+    transfer(r, *this);
 }
 
 std::string

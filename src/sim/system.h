@@ -337,6 +337,9 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     /** Restore saveState() output; failure leaves partial state. */
     void loadState(StateReader &r);
 
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &self);
+
     /** Earliest cycle > now at which any component can make progress. */
     Cycle nextWakeCycle() const;
 
@@ -401,10 +404,8 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     /** Worst-case writeback room: write space on every channel. */
     bool allChannelsHaveWriteRoom() const;
 
-    // bh-audit: skip(config_) -- constructor config; loadState validates it against the stream
-    SystemConfig config_;
-    // bh-audit: skip(mapper) -- derived from config_.spec at construction
-    AddressMap mapper;
+    const SystemConfig config_;
+    const AddressMap mapper;
     /** One controller per channel, index == channel id. Mitigation,
      *  oracle, and census instances pair with controllers one-to-one
      *  (tables are per-channel structures; flat banks are channel-local,
@@ -418,7 +419,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     std::vector<std::unique_ptr<HammerOracle>> oracles;
     std::vector<std::unique_ptr<RowCensus>> censuses;
 
-    // bh-audit: skip(traces) -- each trace is serialized by its Core (Core::saveState)
+    // bh-audit: skip(traces) -- each trace is serialized by its Core (Core::transfer)
     std::vector<std::unique_ptr<TraceSource>> traces;
     std::vector<std::unique_ptr<Core>> cores;
     // bh-audit: skip(benignSlot) -- derived from the workload mix at construction
@@ -462,8 +463,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     bool resumePending_ = false;
 
     /** Slots the constructor received (config fingerprint input). */
-    // bh-audit: skip(slots_) -- constructor config, keyed by ExperimentConfig
-    std::vector<WorkloadSlot> slots_;
+    const std::vector<WorkloadSlot> slots_;
 };
 
 } // namespace bh

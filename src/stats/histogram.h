@@ -186,40 +186,10 @@ class Histogram
     }
 
     /** Serialize the accumulator state (geometry stays constructor-set). */
-    void
-    saveState(StateWriter &w) const
-    {
-        w.tag("hist");
-        w.d(binWidth_);
-        saveU64Vector(w, bins);
-        w.u64(count_);
-        w.d(sum_);
-        w.d(max_);
-        w.u64(dropped_);
-    }
+    void saveState(StateWriter &w) const { transfer(w, *this); }
 
     /** Restore saveState() output; geometry mismatch is a failure. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("hist");
-        double width = r.d();
-        std::vector<std::uint64_t> raw;
-        loadU64Vector(r, &raw);
-        std::uint64_t count = r.u64();
-        double sum = r.d();
-        double max = r.d();
-        std::uint64_t dropped = r.u64();
-        if (!r.ok() || width != binWidth_ || raw.size() != bins.size()) {
-            r.fail();
-            return;
-        }
-        bins = std::move(raw);
-        count_ = count;
-        sum_ = sum;
-        max_ = max;
-        dropped_ = dropped;
-    }
+    void loadState(StateReader &r) { transfer(r, *this); }
 
     bool
     operator==(const Histogram &other) const
@@ -230,6 +200,19 @@ class Histogram
     }
 
   private:
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("hist");
+        ar.expectD(self.binWidth_);
+        ar.fixedVec(self.bins, asU64);
+        ar.u64(self.count_);
+        ar.d(self.sum_);
+        ar.d(self.max_);
+        ar.u64(self.dropped_);
+    }
+
     double binWidth_;
     std::vector<std::uint64_t> bins;
     std::uint64_t count_ = 0;

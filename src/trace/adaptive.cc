@@ -136,54 +136,4 @@ AdaptiveAttackerTrace::next()
     return rec;
 }
 
-void
-AdaptiveAttackerTrace::saveState(StateWriter &w) const
-{
-    w.tag("adaptive_trace");
-    w.u64(rng.rawState());
-    w.u64(bankCursor);
-    w.u64(rowCursor);
-    w.u64(rotation_);
-    w.u32(bubbles_);
-    w.u64(recordCount);
-    w.u64(sinceObserve);
-    w.u64(observationCount);
-    w.u64(throttledObs);
-    w.u64(calmCount);
-    w.d(lastScore_);
-    w.u64(lastQuota_);
-}
-
-void
-AdaptiveAttackerTrace::loadState(StateReader &r)
-{
-    r.tag("adaptive_trace");
-    std::uint64_t raw = r.u64();
-    unsigned bank_cursor = static_cast<unsigned>(r.u64());
-    unsigned row_cursor = static_cast<unsigned>(r.u64());
-    unsigned rotation = static_cast<unsigned>(r.u64());
-    std::uint32_t bubbles = r.u32();
-    std::uint64_t records = r.u64();
-    unsigned since_observe = static_cast<unsigned>(r.u64());
-    std::uint64_t observed = r.u64();
-    std::uint64_t throttled = r.u64();
-    unsigned calm = static_cast<unsigned>(r.u64());
-    double last_score = r.d();
-    unsigned last_quota = static_cast<unsigned>(r.u64());
-    if (!r.ok())
-        return;
-    rng.setRawState(raw);
-    bankCursor = bank_cursor;
-    rowCursor = row_cursor;
-    rotation_ = rotation;
-    bubbles_ = bubbles;
-    recordCount = records;
-    sinceObserve = since_observe;
-    observationCount = observed;
-    throttledObs = throttled;
-    calmCount = calm;
-    lastScore_ = last_score;
-    lastQuota_ = last_quota;
-}
-
 } // namespace bh

@@ -83,8 +83,8 @@ class AdaptiveAttackerTrace : public TraceSource
 
     TraceRecord next() override;
     const std::string &name() const override { return name_; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     const AttackerConfig &attackConfig() const { return attack_; }
     const AdaptiveConfig &adaptiveConfig() const { return adaptive_; }
@@ -115,19 +115,39 @@ class AdaptiveAttackerTrace : public TraceSource
     bool activeNow() const;
     unsigned rotatedRow(unsigned base_row) const;
 
-    AttackerConfig attack_;    // bh-audit: skip(attack_) -- constructor config, keyed by ExperimentConfig
-    AdaptiveConfig adaptive_;  // bh-audit: skip(adaptive_) -- constructor config, keyed by ExperimentConfig
-    const AddressMap &mapper;  // bh-audit: skip(mapper) -- non-owning wiring, owned by System
+    /** The cursors index bankCoords and seq: range-checked on load. */
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("adaptive_trace");
+        ar.state(self.rng);
+        ar.u64(self.bankCursor);
+        ar.u64(self.rowCursor);
+        ar.check(self.bankCursor < self.bankCoords.size() &&
+                 self.rowCursor < self.seq.size());
+        ar.u64(self.rotation_);
+        ar.u32(self.bubbles_);
+        ar.u64(self.recordCount);
+        ar.u64(self.sinceObserve);
+        ar.u64(self.observationCount);
+        ar.u64(self.throttledObs);
+        ar.u64(self.calmCount);
+        ar.d(self.lastScore_);
+        ar.u64(self.lastQuota_);
+    }
+
+    const AttackerConfig attack_;
+    const AdaptiveConfig adaptive_;
+    const AddressMap &mapper;
     Rng rng;
-    std::string name_ = "adaptive_attacker";  // bh-audit: skip(name_) -- construction identity, fixed for the run
+    const std::string name_ = "adaptive_attacker";
 
     // bh-audit: skip(feedback) -- non-owning wiring installed by System
     const IThrottleFeedbackView *feedback = nullptr;
     ThreadId self_ = 0;  // bh-audit: skip(self_) -- construction identity, fixed for the run
 
-    // bh-audit: skip(seq) -- derived from attack_ at construction
     std::vector<unsigned> seq;           ///< Base row visit sequence.
-    // bh-audit: skip(bankCoords) -- derived from attack_ at construction
     std::vector<DramAddress> bankCoords; ///< One template per bank.
     // bh-audit: skip(stride) -- derived from config at construction
     unsigned stride = 0;                 ///< Effective rotation stride.

@@ -98,8 +98,8 @@ class AttackerTrace : public TraceSource
 
     TraceRecord next() override;
     const std::string &name() const override { return name_; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     const AttackerConfig &config() const { return config_; }
 
@@ -110,15 +110,26 @@ class AttackerTrace : public TraceSource
     unsigned attackedBanks() const { return numBanks_; }
 
   private:
-    AttackerConfig config_;    // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
-    const AddressMap &mapper;  // bh-audit: skip(mapper) -- non-owning wiring, owned by System
+    /** The cursors index bankCoords and seq: range-checked on load. */
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("attacker_trace");
+        ar.state(self.rng);
+        ar.u64(self.bankCursor);
+        ar.u64(self.rowCursor);
+        ar.check(self.bankCursor < self.bankCoords.size() &&
+                 self.rowCursor < self.seq.size());
+    }
+
+    const AttackerConfig config_;
+    const AddressMap &mapper;
     Rng rng;
-    std::string name_ = "hammer_attacker";  // bh-audit: skip(name_) -- construction identity, fixed for the run
+    const std::string name_ = "hammer_attacker";
     // bh-audit: skip(rows) -- derived from config_ at construction
     std::vector<unsigned> rows; ///< Unique aggressor rows (introspection).
-    // bh-audit: skip(seq) -- derived from config_ at construction
     std::vector<unsigned> seq;  ///< Row visit sequence (one period).
-    // bh-audit: skip(bankCoords) -- derived from config_ at construction
     std::vector<DramAddress> bankCoords; ///< One template per bank.
     unsigned bankCursor = 0;
     unsigned rowCursor = 0;

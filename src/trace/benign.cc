@@ -112,38 +112,6 @@ BenignTrace::next()
     return rec;
 }
 
-void
-BenignTrace::saveState(StateWriter &w) const
-{
-    w.tag("benign_trace");
-    w.u64(rng.rawState());
-    w.u64(seqPos.rank);
-    w.u64(seqPos.bankGroup);
-    w.u64(seqPos.bank);
-    w.u64(seqPos.row);
-    w.u64(seqPos.channel);
-    w.u64(seqColumn);
-}
-
-void
-BenignTrace::loadState(StateReader &r)
-{
-    r.tag("benign_trace");
-    std::uint64_t raw = r.u64();
-    RowRef pos;
-    pos.rank = static_cast<unsigned>(r.u64());
-    pos.bankGroup = static_cast<unsigned>(r.u64());
-    pos.bank = static_cast<unsigned>(r.u64());
-    pos.row = static_cast<unsigned>(r.u64());
-    pos.channel = static_cast<unsigned>(r.u64());
-    unsigned column = static_cast<unsigned>(r.u64());
-    if (!r.ok())
-        return;
-    rng.setRawState(raw);
-    seqPos = pos;
-    seqColumn = column;
-}
-
 namespace {
 
 AppProfile

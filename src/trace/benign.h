@@ -69,8 +69,8 @@ class BenignTrace : public TraceSource
 
     TraceRecord next() override;
     const std::string &name() const override { return profile_.name; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void saveState(StateWriter &w) const override { transfer(w, *this); }
+    void loadState(StateReader &r) override { transfer(r, *this); }
 
     const AppProfile &profile() const { return profile_; }
 
@@ -84,9 +84,23 @@ class BenignTrace : public TraceSource
     Addr encode(const RowRef &ref, unsigned column) const;
     RowRef randomRow();
 
-    AppProfile profile_;       // bh-audit: skip(profile_) -- constructor config, keyed by ExperimentConfig
-    const AddressMap &mapper;  // bh-audit: skip(mapper) -- non-owning wiring, owned by System
-    unsigned rowBase;          // bh-audit: skip(rowBase) -- constructor config (per-slot row partition)
+    template <class Ar, class Self>
+    static void
+    transfer(Ar &ar, Self &self)
+    {
+        ar.tag("benign_trace");
+        ar.state(self.rng);
+        ar.u64(self.seqPos.rank);
+        ar.u64(self.seqPos.bankGroup);
+        ar.u64(self.seqPos.bank);
+        ar.u64(self.seqPos.row);
+        ar.u64(self.seqPos.channel);
+        ar.u64(self.seqColumn);
+    }
+
+    const AppProfile profile_;
+    const AddressMap &mapper;
+    const unsigned rowBase;    ///< Per-slot row partition.
     // bh-audit: skip(rowSpan) -- derived from profile_ at construction
     unsigned rowSpan; ///< Rows per bank actually used (working-set bound).
     Rng rng;

@@ -28,13 +28,18 @@
 #include "cache/mshr.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
+#include "core/core.h"
+#include "dram/timing.h"
+#include "mem/controller.h"
 #include "mitigation/factory.h"
+#include "mitigation/hydra.h"
 #include "mitigation/misra_gries.h"
 #include "sim/experiment.h"
 #include "sim/mixes.h"
 #include "sim/redteam.h"
 #include "sim/system.h"
 #include "trace/adaptive.h"
+#include "trace/attacker.h"
 
 namespace bh {
 namespace {
@@ -993,6 +998,229 @@ TEST(SnapshotFormatTest, LlcNarrowAndWideTagStoresArePinned)
         EXPECT_EQ(digest(blob), expect)
             << "base " << base << " digest 0x" << std::hex << digest(blob);
     }
+}
+
+// ---------------------------------------- decoded indices are checked
+
+// A snapshot file is outside input: a crafted blob passes the checksum
+// and fingerprint checks, so every decoded field that later indexes an
+// array must be range-checked by the load itself.
+
+/** @p blob with the u64 at byte @p offset replaced by @p value. */
+std::string
+patchU64(std::string blob, std::size_t offset, std::uint64_t value)
+{
+    StateWriter w;
+    w.u64(value);
+    return blob.replace(offset, 8, w.data());
+}
+
+/** Whether @p blob loads cleanly into @p component. */
+template <class T>
+bool
+loads(T &component, const std::string &blob)
+{
+    StateReader r(blob);
+    component.loadState(r);
+    return r.ok();
+}
+
+TEST(SnapshotValidationTest, ArchiveRejectsNarrowingAndLengthMismatch)
+{
+    const std::vector<std::uint64_t> three(3, 7);
+    StateWriter w;
+    w.u64(std::uint64_t{1} << 32); // Does not fit an unsigned.
+    w.fixedVec(three, asU64);
+    const std::string blob = w.take();
+
+    StateReader narrow(blob);
+    unsigned small = 0;
+    narrow.u64(small);
+    EXPECT_FALSE(narrow.ok());
+
+    // A fixed-size vector constructed for four elements rejects three
+    // and is left as constructed.
+    StateReader mismatch(blob);
+    std::uint64_t wide = 0;
+    mismatch.u64(wide);
+    std::vector<std::uint64_t> four(4);
+    mismatch.fixedVec(four, asU64);
+    EXPECT_FALSE(mismatch.ok());
+    EXPECT_EQ(four, std::vector<std::uint64_t>(4));
+
+    StateReader match(blob);
+    match.u64(wide);
+    std::vector<std::uint64_t> same(3);
+    match.fixedVec(same, asU64);
+    EXPECT_TRUE(match.atEnd());
+    EXPECT_EQ(same, three);
+    match.check(false);
+    EXPECT_FALSE(match.ok());
+}
+
+class NullMemory : public ICoreMemory
+{
+  public:
+    AccessOutcome
+    load(ThreadId, Addr, bool, std::uint64_t) override
+    {
+        return AccessOutcome::kHit;
+    }
+    AccessOutcome
+    store(ThreadId, Addr, bool) override
+    {
+        return AccessOutcome::kHit;
+    }
+};
+
+TEST(SnapshotValidationTest, CoreRejectsHeadAndOccupancyPastTheWindow)
+{
+    AddressMap mapper(DramSpec::ddr5().org);
+    AttackerTrace trace(AttackerConfig{}, mapper, 1);
+    NullMemory memory;
+    CoreConfig config;
+    config.windowSize = 8;
+    Core core(0, &trace, &memory, config, false);
+    std::string blob = stateBlob(core);
+    ASSERT_TRUE(loads(core, blob));
+
+    // Layout: tag u32, window (u64 count + 8 x u64), head, occupancy.
+    const std::size_t head = 4 + 8 + 8 * 8;
+    const std::size_t occupancy = head + 8;
+    ASSERT_TRUE(loads(core, patchU64(blob, head, 7)));
+    EXPECT_FALSE(loads(core, patchU64(blob, head, 8)));
+    ASSERT_TRUE(loads(core, patchU64(blob, occupancy, 8)));
+    EXPECT_FALSE(loads(core, patchU64(blob, occupancy, 9)));
+}
+
+TEST(SnapshotValidationTest, AttackerTracesRejectCursorsPastTheirPattern)
+{
+    AddressMap mapper(DramSpec::ddr5().org);
+    AttackerTrace fixed(AttackerConfig{}, mapper, 3);
+    AdaptiveAttackerTrace adaptive(AttackerConfig{}, AdaptiveConfig{},
+                                   mapper, 3);
+    // Layout: tag u32, RNG state u64, bankCursor u64, rowCursor u64.
+    const std::size_t bank_cursor = 4 + 8;
+    const std::size_t row_cursor = bank_cursor + 8;
+    for (TraceSource *t : {static_cast<TraceSource *>(&fixed),
+                           static_cast<TraceSource *>(&adaptive)}) {
+        std::string blob = stateBlob(*t);
+        ASSERT_TRUE(loads(*t, blob)) << t->name();
+        EXPECT_FALSE(loads(*t, patchU64(blob, bank_cursor, 1u << 20)))
+            << t->name();
+        EXPECT_FALSE(loads(*t, patchU64(blob, row_cursor, 1u << 20)))
+            << t->name();
+    }
+}
+
+TEST(SnapshotValidationTest, RngRejectsTheStateXorshiftNeverLeaves)
+{
+    auto para = createMitigation(MitigationType::kPara, 512,
+                                 DramSpec::ddr5(), 4);
+    std::string blob = stateBlob(*para);
+    ASSERT_TRUE(loads(*para, blob));
+    // Layout: tag u32, RNG state u64.
+    EXPECT_FALSE(loads(*para, patchU64(blob, 4, 0)));
+}
+
+TEST(SnapshotValidationTest, MshrRejectsOwnersAndWaitersOutsideTheThreads)
+{
+    MshrFile mshr(64, 4);
+    mshr.allocate(0x40, 1, false);
+    mshr.merge(0x40, MshrWaiter{2, 7, true}, false);
+    std::string blob = stateBlob(mshr);
+    ASSERT_TRUE(loads(mshr, blob));
+
+    // Layout: tag u32, quotas and inflight (u64 count + 4 x u64 each),
+    // map bucket count and size, key, owner, anyStore byte, waiter
+    // count, waiter thread.
+    const std::size_t owner = 4 + 2 * (8 + 4 * 8) + 8 + 8 + 8;
+    const std::size_t waiter_thread = owner + 8 + 1 + 8;
+    ASSERT_TRUE(loads(mshr, patchU64(blob, owner, 3)));
+    EXPECT_FALSE(loads(mshr, patchU64(blob, owner, 4)));
+    ASSERT_TRUE(loads(mshr, patchU64(blob, waiter_thread, 3)));
+    EXPECT_FALSE(loads(mshr, patchU64(blob, waiter_thread, 4)));
+}
+
+TEST(SnapshotValidationTest, RequestQueueRejectsABadActiveBankList)
+{
+    BankedRequestQueue queue(4);
+    Request req;
+    req.flatBank = 1;
+    queue.push(req);
+    req.flatBank = 2;
+    queue.push(req);
+    std::string blob = stateBlob(queue);
+    ASSERT_TRUE(loads(queue, blob));
+
+    // The blob ends with the active list (u64 count, banks 1 and 2) and
+    // the sequence counter.
+    const std::size_t second = blob.size() - 16;
+    ASSERT_TRUE(loads(queue, patchU64(blob, second, 2)));
+    EXPECT_FALSE(loads(queue, patchU64(blob, second, 1))); // Listed twice.
+    EXPECT_FALSE(loads(queue, patchU64(blob, second, 3))); // Empty bank.
+    EXPECT_FALSE(loads(queue, patchU64(blob, second, 4))); // No such bank.
+}
+
+TEST(SnapshotValidationTest, ControllerRejectsRequestsOutsideItsGeometry)
+{
+    DramSpec spec = DramSpec::ddr5();
+    AddressMap mapper(spec.org);
+    MemoryController mc(spec, mapper, McConfig{});
+    Request req;
+    req.addr = 0x12345640;
+    req.thread = 1;
+    req.token = 0x0123456789abcdefull; // Marks the request in the blob.
+    mc.enqueueRead(req, 0);
+    std::string blob = stateBlob(mc);
+    ASSERT_TRUE(loads(mc, blob));
+
+    // A request ends ..., row, column, flatBank, thread, cycle, token.
+    StateWriter marker;
+    marker.u64(req.token);
+    const std::size_t token = blob.find(marker.data());
+    ASSERT_NE(token, std::string::npos);
+    const std::size_t flat_bank = token - 24;
+    const std::size_t row = token - 40;
+    EXPECT_FALSE(
+        loads(mc, patchU64(blob, flat_bank, spec.org.totalBanks())));
+    EXPECT_FALSE(loads(mc, patchU64(blob, row, spec.org.rowsPerBank)));
+}
+
+TEST(SnapshotValidationTest, TimingEngineRejectsAFawHeadPastItsWindow)
+{
+    DramSpec spec = DramSpec::ddr5();
+    TimingEngine engine(spec);
+    std::string blob = stateBlob(engine);
+    ASSERT_TRUE(loads(engine, blob));
+
+    // Layout: tag u32, banks (u64 count + 41 bytes each), ranks (u64
+    // count, then lastAct, lastActBankGroup, hasLastAct byte, four FAW
+    // cycles, fawCount, fawHead, ...).
+    const std::size_t faw_head =
+        4 + 8 + 41 * std::size_t{spec.org.totalBanks()} + 8 + 8 + 8 + 1 +
+        4 * 8 + 8;
+    ASSERT_TRUE(loads(engine, patchU64(blob, faw_head, 3)));
+    EXPECT_FALSE(loads(engine, patchU64(blob, faw_head, 4)));
+}
+
+TEST(SnapshotValidationTest, HydraRejectsADuplicatedCacheEntry)
+{
+    DramSpec spec = DramSpec::ddr5();
+    Hydra hydra(512, spec);
+    RecordingHost host;
+    hydra.setHost(&host);
+    Cycle cycle = 0;
+    driveMechanism(&hydra, spec, 123, 0, 6000, &cycle);
+    ASSERT_GE(hydra.rccMisses(), 2u); // The RCC holds at least two keys.
+    std::string blob = stateBlob(hydra);
+    ASSERT_TRUE(loads(hydra, blob));
+    ASSERT_TRUE(loads(hydra, patchU64(blob, blob.size() - 8, ~0ull)));
+
+    // The blob ends with the RCC's LRU list: duplicate its last key.
+    StateReader tail(blob.substr(blob.size() - 16));
+    std::uint64_t second_last = tail.u64();
+    EXPECT_FALSE(loads(hydra, patchU64(blob, blob.size() - 8, second_last)));
 }
 
 } // namespace

@@ -3,8 +3,8 @@
 Four passes prove, at CI time, the structural halves of the repo's
 dynamic guarantees:
 
-  snapshot-coverage   every data member of a snapshottable class is
-                      serialized in saveState() AND loadState()
+  snapshot-coverage   every mutable data member of a class with a
+                      snapshot transfer() is named in it
   key-coverage        every ExperimentConfig field reaches the content
                       address and both wire-codec directions
   determinism         no wall clocks / global RNG / stray getenv /

@@ -2,16 +2,12 @@
 
 namespace bh {
 
+template <class Ar, class Self>
 void
-Widget::saveState(StateWriter &w) const
+Widget::transfer(Ar &ar, Self &self)
 {
-    w.u64(counter);
-}
-
-void
-Widget::loadState(StateReader &r)
-{
-    counter = static_cast<unsigned>(r.u64());
+    ar.tag("widget");
+    ar.u64(self.counter);
 }
 
 } // namespace bh

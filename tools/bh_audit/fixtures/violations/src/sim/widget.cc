@@ -4,16 +4,13 @@
 
 namespace bh {
 
+template <class Ar, class Self>
 void
-Widget::saveState(StateWriter &w) const
+Widget::transfer(Ar &ar, Self &self)
 {
-    w.u64(counter);
-}
-
-void
-Widget::loadState(StateReader &r)
-{
-    counter = static_cast<unsigned>(r.u64());
+    ar.u64(self.counter);
+    for (const auto &kv : self.index)
+        ar.u64(kv.second);
 }
 
 std::uint64_t

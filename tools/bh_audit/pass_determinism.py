@@ -13,11 +13,11 @@ This pass bans the constructs that silently break that:
   into the content address (a stray getenv is exactly the store-aliasing
   bug class PR 3 documents);
 - iteration over ``std::unordered_map`` / ``std::unordered_set`` inside
-  any function that feeds an ordered output (a StateWriter, the JSON
-  export, a wire frame): hash-table iteration order is
-  implementation-defined, so bytes would differ across
-  libraries/restarts. The snapshot codec's saveUnorderedMap() is the
-  one sanctioned path — it records and reconstructs the order;
+  any function that feeds an ordered output (a snapshot ``transfer()``
+  or other StateWriter path, the JSON export, a wire frame): hash-table
+  iteration order is implementation-defined, so bytes would differ
+  across libraries/restarts. The snapshot archive's map() is the one
+  sanctioned path — it records and reconstructs the order;
 - ``std::map`` / ``std::set`` keyed by pointers: address-dependent
   ordering differs run to run.
 
@@ -60,8 +60,8 @@ _RANGE_FOR = re.compile(
 _POINTER_KEY = re.compile(
     r"std\s*::\s*(?:map|set)\s*<\s*[^,>]*\*")
 
-# A function participates in an ordered-output path when its body or
-# signature touches one of these.
+# A function participates in an ordered-output path when it is a
+# snapshot transfer() or its body or signature touches one of these.
 _ORDERED_MARKERS = ("StateWriter", "JsonValue", "encodeFrame",
                     "appendFrame", "Frame")
 
@@ -123,12 +123,13 @@ def run(tree: SourceTree, report: Report) -> None:
             continue
         for fn in sf.all_function_bodies():
             haystack = fn.decl_text + fn.body_text
-            if not any(marker in haystack
-                       for marker in _ORDERED_MARKERS):
+            if fn.name != "transfer" and not any(
+                    marker in haystack for marker in _ORDERED_MARKERS):
                 continue
             for m in _RANGE_FOR.finditer(fn.body_text):
-                base = re.split(r"[.\-]", m.group(1))[0]
-                if base not in unordered:
+                # transfer() reaches members through `self`.
+                base = re.sub(r"^self(?:\.|->)", "", m.group(1))
+                if re.split(r"[.\-]", base)[0] not in unordered:
                     continue
                 _flag(report, tree, sf, "unordered-iter",
                       fn.start + 1 + m.start(),
@@ -136,7 +137,7 @@ def run(tree: SourceTree, report: Report) -> None:
                       "iterating a hash container on an "
                       "ordered-output path; order is "
                       "implementation-defined — use "
-                      "saveUnorderedMap() or sort first")
+                      "the archive's map() or sort first")
             for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\.\s*begin\s*\(",
                                  fn.body_text):
                 if m.group(1) not in unordered:
@@ -147,5 +148,5 @@ def run(tree: SourceTree, report: Report) -> None:
                       "iterating a hash container on an "
                       "ordered-output path; order is "
                       "implementation-defined — use "
-                      "saveUnorderedMap() or sort first")
+                      "the archive's map() or sort first")
     report.note_stats(CHECK, files=files_checked)

@@ -34,6 +34,7 @@ EXPECTED_VIOLATIONS = {
      "ExperimentConfig::stealthFactor"),
     ("determinism", "clock", "steady_clock::now"),
     ("determinism", "unordered-iter", "saveState(): for(... : table)"),
+    ("determinism", "unordered-iter", "transfer(): for(... : self.index)"),
     ("probe-purity", "non-const-probe",
      "EagerMitigation::probeActReleaseCycle"),
     ("probe-purity", "member-mutation",
