@@ -215,6 +215,42 @@ parseOrgCount(const char *text, std::uint64_t limit, unsigned *out)
     return true;
 }
 
+/**
+ * The --checkpoint-every policy snapshotting into @p dir, which is
+ * created. Prints an error and returns false when it cannot be.
+ */
+bool
+checkpointInto(const std::string &dir, std::uint64_t every_insts,
+               std::uint64_t every_cycles, bh::CheckpointSpec *spec)
+{
+    spec->dir = dir;
+    spec->everyInsts = every_insts;
+    spec->everyCycles = every_cycles;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+        std::fprintf(stderr,
+                     "error: cannot create snapshot directory %s: %s\n",
+                     dir.c_str(), ec.message().c_str());
+        return false;
+    }
+    return true;
+}
+
+/** The union of the selected figures' declarative sweeps. */
+std::vector<bh::ExperimentConfig>
+unionSweeps(const std::vector<bh::bench::Figure> &selected)
+{
+    std::vector<bh::ExperimentConfig> grid;
+    for (const bh::bench::Figure &figure : selected) {
+        if (!figure.sweep)
+            continue;
+        std::vector<bh::ExperimentConfig> points = figure.sweep().expand();
+        grid.insert(grid.end(), points.begin(), points.end());
+    }
+    return grid;
+}
+
 } // namespace
 
 int
@@ -241,8 +277,7 @@ main(int argc, char **argv)
     std::string store_dir;
     std::uint64_t checkpoint_insts = 0;
     std::uint64_t checkpoint_cycles = 0;
-    SamplingSpec sample;
-    ChannelSpec channel_spec;
+    RunOptions run;
     unsigned shard_index = 0, shard_count = 0;
     std::uint16_t serve_port = 0;
     std::string worker_host;
@@ -322,7 +357,7 @@ main(int argc, char **argv)
             else
                 checkpoint_insts = parsed;
         } else if (flag_value(arg, "--sample", &i, &value)) {
-            if (!parseSampleSpec(value, &sample)) {
+            if (!parseSampleSpec(value, &run.sample)) {
                 std::fprintf(stderr,
                              "error: --sample wants W/M/F with three "
                              "positive instruction counts (e.g. "
@@ -331,7 +366,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (flag_value(arg, "--channels", &i, &value)) {
-            if (!parseOrgCount(value, 64, &channel_spec.channels)) {
+            if (!parseOrgCount(value, 64, &run.channels)) {
                 std::fprintf(stderr,
                              "error: --channels wants a power-of-two "
                              "channel count (1..64), got \"%s\"\n",
@@ -339,7 +374,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (flag_value(arg, "--ranks", &i, &value)) {
-            if (!parseOrgCount(value, 16, &channel_spec.ranks)) {
+            if (!parseOrgCount(value, 16, &run.ranks)) {
                 std::fprintf(stderr,
                              "error: --ranks wants a power-of-two rank "
                              "count (1..16), got \"%s\"\n",
@@ -424,8 +459,8 @@ main(int argc, char **argv)
     }
     if (worker_mode &&
         (!store_dir.empty() || shard_count != 0 || !json_path.empty() ||
-         sample.enabled() || channel_spec.channels != 0 ||
-         channel_spec.ranks != 0 || run_all || !names.empty())) {
+         run.sample.enabled() || run.channels != 0 || run.ranks != 0 ||
+         run_all || !names.empty())) {
         std::fprintf(stderr,
                      "error: a worker takes its work (and every "
                      "simulation parameter) from the coordinator's "
@@ -456,7 +491,7 @@ main(int argc, char **argv)
     }
     if (redteam_mode &&
         (serve_mode || worker_mode || shard_count != 0 ||
-         sample.enabled() || run_all || !names.empty())) {
+         run.sample.enabled() || run_all || !names.empty())) {
         std::fprintf(stderr,
                      "error: --redteam is its own mode: it drives the "
                      "search grid itself (exact runs only); drop "
@@ -471,28 +506,25 @@ main(int argc, char **argv)
                      "--help)\n");
         return 2;
     }
+    const bool checkpointing = checkpoint_insts || checkpoint_cycles;
+    if (checkpointing && !worker_mode && store_dir.empty()) {
+        // Snapshots ride the store directory: resuming needs the same
+        // records the interrupted run already streamed out.
+        std::fprintf(stderr,
+                     "error: --checkpoint-every requires --store "
+                     "(snapshots live in <store>/snapshots)\n");
+        return 2;
+    }
 
     if (worker_mode) {
-        if (checkpoint_insts || checkpoint_cycles) {
-            // Workers have no --store; snapshots live in a local
-            // directory so a re-leased unit resumes instead of
-            // restarting (same bit-exact resume as a local run).
-            CheckpointSpec spec;
-            spec.dir = "bh-worker-snapshots";
-            spec.everyInsts = checkpoint_insts;
-            spec.everyCycles = checkpoint_cycles;
-            std::error_code ec;
-            std::filesystem::create_directories(spec.dir, ec);
-            if (ec) {
-                std::fprintf(stderr,
-                             "error: cannot create snapshot directory "
-                             "%s: %s\n",
-                             spec.dir.c_str(), ec.message().c_str());
-                return 2;
-            }
-            setCheckpointSpec(spec);
-        }
         svc::WorkerOptions wopts;
+        // Workers have no --store; snapshots live in a local directory
+        // so a re-leased unit resumes instead of restarting (same
+        // bit-exact resume as a local run).
+        if (checkpointing &&
+            !checkpointInto("bh-worker-snapshots", checkpoint_insts,
+                            checkpoint_cycles, &wopts.checkpoint))
+            return 2;
         wopts.host = worker_host;
         wopts.port = worker_port;
         wopts.jobs = jobs;
@@ -543,50 +575,20 @@ main(int argc, char **argv)
         return 2;
     }
 
-    ResultStore store(jobs);
+    if (checkpointing &&
+        !checkpointInto(store_dir + "/snapshots", checkpoint_insts,
+                        checkpoint_cycles, &run.checkpoint))
+        return 2;
+    // The store folds --sample and --channels/--ranks into every point
+    // (oracle configs ignore the sampling spec and run exact), and lets
+    // each sampled point fan its windows across the grid's --jobs.
+    ResultStore store(jobs, run);
     if (!store_dir.empty()) {
         std::string error;
         if (!store.open(store_dir, &error)) {
             std::fprintf(stderr, "error: %s\n", error.c_str());
             return 2;
         }
-    }
-    if (checkpoint_insts || checkpoint_cycles) {
-        // Snapshots ride the store directory: resuming needs the same
-        // records the interrupted run already streamed out.
-        if (store_dir.empty()) {
-            std::fprintf(stderr,
-                         "error: --checkpoint-every requires --store "
-                         "(snapshots live in <store>/snapshots)\n");
-            return 2;
-        }
-        CheckpointSpec spec;
-        spec.dir = store_dir + "/snapshots";
-        spec.everyInsts = checkpoint_insts;
-        spec.everyCycles = checkpoint_cycles;
-        std::error_code ec;
-        std::filesystem::create_directories(spec.dir, ec);
-        if (ec) {
-            std::fprintf(stderr,
-                         "error: cannot create snapshot directory %s: "
-                         "%s\n",
-                         spec.dir.c_str(), ec.message().c_str());
-            return 2;
-        }
-        setCheckpointSpec(spec);
-    }
-    if (sample.enabled()) {
-        // Fold the spec into every experiment point (oracle configs
-        // ignore it and run exact) and let each sampled point fan its
-        // windows across the same worker budget the grid uses.
-        setSamplingSpec(sample);
-        setSamplingJobs(jobs);
-    }
-    if (channel_spec.channels || channel_spec.ranks) {
-        // Fold the organization into every experiment point; solo-IPC
-        // baselines stay single-channel so weighted speedup keeps the
-        // same denominator across the channel-count axis.
-        setChannelSpec(channel_spec);
     }
     if (shard_count) {
         store.setShard(shard_index, shard_count);
@@ -621,14 +623,7 @@ main(int argc, char **argv)
         // grid --shard unions), lease the units to workers, and ingest
         // their results. Rendering is skipped — render from the warm
         // store afterwards.
-        std::vector<ExperimentConfig> grid;
-        for (const bench::Figure &figure : selected) {
-            if (!figure.sweep)
-                continue;
-            std::vector<ExperimentConfig> points =
-                figure.sweep().expand();
-            grid.insert(grid.end(), points.begin(), points.end());
-        }
+        std::vector<ExperimentConfig> grid = unionSweeps(selected);
         svc::CoordinatorOptions copts;
         copts.port = serve_port;
         copts.leaseTimeoutMs = lease_timeout_s * 1000;
@@ -660,14 +655,7 @@ main(int argc, char **argv)
         // Shard mode: union every selected figure's declarative sweep,
         // compute this shard's points, skip rendering (tables need the
         // whole grid — render from a merged store instead).
-        std::vector<ExperimentConfig> grid;
-        for (const bench::Figure &figure : selected) {
-            if (!figure.sweep)
-                continue;
-            std::vector<ExperimentConfig> points =
-                figure.sweep().expand();
-            grid.insert(grid.end(), points.begin(), points.end());
-        }
+        std::vector<ExperimentConfig> grid = unionSweeps(selected);
         std::printf("==== shard %u/%u: %zu grid point(s) across %zu "
                     "figure(s) ====\n",
                     shard_index, shard_count, grid.size(),

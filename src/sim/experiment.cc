@@ -36,70 +36,6 @@ soloCache()
     return cache;
 }
 
-std::function<void(const std::string &, std::uint64_t, double)> &
-soloSink()
-{
-    static std::function<void(const std::string &, std::uint64_t, double)>
-        sink;
-    return sink;
-}
-
-const void *&
-soloSinkOwner()
-{
-    static const void *owner = nullptr;
-    return owner;
-}
-
-std::mutex &
-checkpointMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-CheckpointSpec &
-checkpointSpecStorage()
-{
-    static CheckpointSpec spec;
-    return spec;
-}
-
-std::mutex &
-samplingMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-SamplingSpec &
-samplingSpecStorage()
-{
-    static SamplingSpec spec;
-    return spec;
-}
-
-unsigned &
-samplingJobsStorage()
-{
-    static unsigned jobs = 1;
-    return jobs;
-}
-
-std::mutex &
-channelMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-ChannelSpec &
-channelSpecStorage()
-{
-    static ChannelSpec spec;
-    return spec;
-}
-
 } // namespace
 
 std::uint64_t
@@ -144,7 +80,8 @@ scaledBreakHammerConfig(std::uint64_t instructions)
 }
 
 double
-soloIpc(const std::string &app_name, std::uint64_t instructions)
+soloIpc(const std::string &app_name, std::uint64_t instructions,
+        const SoloSink &sink)
 {
     {
         std::lock_guard<std::mutex> lock(soloMutex());
@@ -165,12 +102,13 @@ soloIpc(const std::string &app_name, std::uint64_t instructions)
     double ipc = result.cores[0].ipc;
 
     std::lock_guard<std::mutex> lock(soloMutex());
-    // Only the first computation fires the sink: if another worker won
+    // Only the first computation reaches its sink: if another worker won
     // the race, its value is already cached (identical — the run is a
-    // pure function of (app, insts)) and already persisted.
+    // pure function of (app, insts)) and already went to that worker's
+    // sink, which for the runs of one store is the same one.
     if (soloCache().emplace(SoloKey{app_name, instructions}, ipc).second &&
-        soloSink())
-        soloSink()(app_name, instructions, ipc);
+        sink)
+        sink(app_name, instructions, ipc);
     return ipc;
 }
 
@@ -182,29 +120,9 @@ primeSoloIpc(const std::string &app_name, std::uint64_t instructions,
     soloCache().emplace(SoloKey{app_name, instructions}, ipc);
 }
 
-void
-setSoloIpcSink(std::function<void(const std::string &, std::uint64_t,
-                                  double)>
-                   sink,
-               const void *owner)
-{
-    std::lock_guard<std::mutex> lock(soloMutex());
-    soloSink() = std::move(sink);
-    soloSinkOwner() = owner;
-}
-
-void
-clearSoloIpcSink(const void *owner)
-{
-    std::lock_guard<std::mutex> lock(soloMutex());
-    if (soloSinkOwner() != owner)
-        return; // A later-opened store took over; leave its sink alone.
-    soloSink() = nullptr;
-    soloSinkOwner() = nullptr;
-}
-
 ExperimentConfig
-resolveExperimentConfig(const ExperimentConfig &config)
+resolveExperimentConfig(const ExperimentConfig &config,
+                        const RunOptions &options)
 {
     ExperimentConfig resolved = config;
     if (resolved.instructions == 0)
@@ -212,94 +130,12 @@ resolveExperimentConfig(const ExperimentConfig &config)
     if (resolved.bh.window == 0)
         resolved.bh = scaledBreakHammerConfig(resolved.instructions);
     if (!resolved.sample.enabled())
-        resolved.sample = samplingSpec();
-    ChannelSpec ch = channelSpec();
+        resolved.sample = options.sample;
     if (resolved.channels == 0)
-        resolved.channels = ch.channels ? ch.channels : 1;
+        resolved.channels = options.channels ? options.channels : 1;
     if (resolved.ranks == 0)
-        resolved.ranks = ch.ranks ? ch.ranks : 2;
+        resolved.ranks = options.ranks ? options.ranks : 2;
     return resolved;
-}
-
-void
-setChannelSpec(const ChannelSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(channelMutex());
-    channelSpecStorage() = spec;
-}
-
-ChannelSpec
-channelSpec()
-{
-    std::lock_guard<std::mutex> lock(channelMutex());
-    return channelSpecStorage();
-}
-
-void
-setSamplingSpec(const SamplingSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(samplingMutex());
-    samplingSpecStorage() = spec;
-}
-
-SamplingSpec
-samplingSpec()
-{
-    std::lock_guard<std::mutex> lock(samplingMutex());
-    return samplingSpecStorage();
-}
-
-void
-setSamplingJobs(unsigned jobs)
-{
-    std::lock_guard<std::mutex> lock(samplingMutex());
-    samplingJobsStorage() = jobs ? jobs : 1;
-}
-
-unsigned
-samplingJobs()
-{
-    std::lock_guard<std::mutex> lock(samplingMutex());
-    return samplingJobsStorage();
-}
-
-void
-setCheckpointSpec(const CheckpointSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(checkpointMutex());
-    checkpointSpecStorage() = spec;
-}
-
-CheckpointSpec
-checkpointSpec()
-{
-    std::lock_guard<std::mutex> lock(checkpointMutex());
-    return checkpointSpecStorage();
-}
-
-namespace {
-
-ProgressHook &
-progressHookStorage()
-{
-    static ProgressHook hook;
-    return hook;
-}
-
-} // namespace
-
-void
-setProgressHook(const ProgressHook &hook)
-{
-    std::lock_guard<std::mutex> lock(checkpointMutex());
-    progressHookStorage() = hook;
-}
-
-ProgressHook
-progressHook()
-{
-    std::lock_guard<std::mutex> lock(checkpointMutex());
-    return progressHookStorage();
 }
 
 std::string
@@ -391,7 +227,7 @@ summarizeWindows(const std::vector<double> &xs)
  * window's warm-start — total fast-forward work is O(horizon), where
  * re-fast-forwarding every window from the shared warm-up snapshot
  * would be O(nwin * horizon). The blobs then fan out to nwin
- * independent detailed windows (optionally across samplingJobs()
+ * independent detailed windows (optionally across samplingJobs
  * worker threads); window k's work — restore blob k, detailed re-warm
  * W, detailed measure M — is a pure function of k, so results are
  * byte-identical for every job count. Headline metrics anchor on the
@@ -399,7 +235,7 @@ summarizeWindows(const std::vector<double> &xs)
  * rates; window spread becomes the 95% CIs in `sampling`.
  */
 ExperimentResult
-runSampledExperiment(const ExperimentConfig &cfg)
+runSampledExperiment(const ExperimentConfig &cfg, const RunOptions &options)
 {
     const SamplingSpec &sp = cfg.sample;
     const std::uint64_t insts = cfg.instructions;
@@ -429,7 +265,7 @@ runSampledExperiment(const ExperimentConfig &cfg)
     // workers only ever read the cache.
     std::vector<double> alone;
     for (const std::string &app : benignApps(cfg.mix))
-        alone.push_back(soloIpc(app, insts));
+        alone.push_back(soloIpc(app, insts, options.soloSink));
 
     struct WindowOutcome
     {
@@ -551,7 +387,7 @@ runSampledExperiment(const ExperimentConfig &cfg)
     // System without any queue bookkeeping. Worker 0 recycles the
     // ancestor (its FF chain is done; the restore overwrites all state),
     // sparing one System construction on every sampled point.
-    const unsigned jobs = std::max(1u, samplingJobs());
+    const unsigned jobs = std::max(1u, options.samplingJobs);
     const unsigned workers = static_cast<unsigned>(
         std::min<std::uint64_t>(jobs, nwin));
     parallelFor(workers, workers, [&](std::size_t wk) {
@@ -713,9 +549,9 @@ runSampledExperiment(const ExperimentConfig &cfg)
 } // namespace
 
 ExperimentResult
-runExperiment(const ExperimentConfig &config)
+runExperiment(const ExperimentConfig &config, const RunOptions &options)
 {
-    ExperimentConfig cfg = resolveExperimentConfig(config);
+    ExperimentConfig cfg = resolveExperimentConfig(config, options);
     std::uint64_t insts = cfg.instructions;
 
     // Red-team probes rewrite the mix's attacker slots into adaptive
@@ -748,7 +584,7 @@ runExperiment(const ExperimentConfig &config)
                    static_cast<unsigned long long>(cfg.sample.fastForward),
                    static_cast<unsigned long long>(insts));
         } else {
-            return runSampledExperiment(cfg);
+            return runSampledExperiment(cfg, options);
         }
     }
 
@@ -759,8 +595,8 @@ runExperiment(const ExperimentConfig &config)
     // measure for a workload that cannot finish.
     auto system = std::make_unique<System>(sys, cfg.mix.slots);
 
-    CheckpointSpec ckpt = checkpointSpec();
-    ProgressHook hook = progressHook();
+    const CheckpointSpec &ckpt = options.checkpoint;
+    const ProgressHook &hook = options.progress;
     System::CheckpointConfig cc;
     std::string snap_path;
     if (ckpt.enabled()) {
@@ -780,9 +616,8 @@ runExperiment(const ExperimentConfig &config)
         // The heartbeat rides the checkpoint cadence machinery but is
         // armed independently: snapshots and progress each work alone.
         cc.progressEveryInsts = hook.everyInsts;
-        cc.onProgress = [fn = hook.fn, cfg,
-                         insts](std::uint64_t retired) {
-            fn(cfg, retired, insts);
+        cc.onProgress = [fn = hook.fn, insts](std::uint64_t retired) {
+            fn(retired, insts);
         };
     }
     if (ckpt.enabled() || hook.enabled())
@@ -811,7 +646,7 @@ runExperiment(const ExperimentConfig &config)
     std::vector<double> shared = out.raw.benignIpcs();
     std::vector<double> alone;
     for (const std::string &app : benignApps(cfg.mix))
-        alone.push_back(soloIpc(app, insts));
+        alone.push_back(soloIpc(app, insts, options.soloSink));
 
     out.weightedSpeedup = weightedSpeedup(shared, alone);
     out.maxSlowdown = maxSlowdown(shared, alone);

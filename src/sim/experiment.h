@@ -62,18 +62,18 @@ struct ExperimentConfig
     std::uint64_t seed = 1;
     /**
      * DRAM scale-out overrides (power-of-two each). 0 = unset:
-     * resolveExperimentConfig() folds in the process-wide
-     * setChannelSpec() values, then the DDR5 defaults (1 channel,
-     * 2 ranks). Part of experimentKey() only away from the defaults, so
-     * legacy single-channel records keep their content addresses.
+     * resolveExperimentConfig() folds in the RunOptions defaults, then
+     * the DDR5 defaults (1 channel, 2 ranks). Part of experimentKey()
+     * only away from the defaults, so legacy single-channel records keep
+     * their content addresses.
      */
     unsigned channels = 0;
     unsigned ranks = 0;
     /**
      * Interval sampling; disabled (exact simulation) by default. When
-     * disabled here, resolveExperimentConfig() folds in the process-wide
-     * spec from setSamplingSpec(). Part of experimentKey(), so sampled
-     * and exact results never alias in the ResultStore.
+     * disabled here, resolveExperimentConfig() folds in the RunOptions
+     * spec. Part of experimentKey(), so sampled and exact results never
+     * alias in the ResultStore.
      */
     SamplingSpec sample;
     /**
@@ -139,8 +139,22 @@ std::vector<unsigned> nrhSweep();
 /** Throttling window scaled to the simulated horizon (see .cc). */
 BreakHammerConfig scaledBreakHammerConfig(std::uint64_t instructions);
 
-/** Solo IPC of a catalog app (cached; no mitigation, core alone). */
-double soloIpc(const std::string &app_name, std::uint64_t instructions);
+/**
+ * Receives each solo IPC that soloIpc() computes (primed and re-requested
+ * values never reach it). The ResultStore's sink persists solo runs
+ * alongside experiment records; the sweep worker's forwards them to its
+ * coordinator. Called on the computing thread, serialized by the
+ * solo-cache lock; it must not call back into soloIpc().
+ */
+using SoloSink = std::function<void(const std::string &app,
+                                    std::uint64_t insts, double ipc)>;
+
+/**
+ * Solo IPC of a catalog app (cached; no mitigation, core alone). The
+ * call that computes a value passes it to @p sink.
+ */
+double soloIpc(const std::string &app_name, std::uint64_t instructions,
+               const SoloSink &sink = {});
 
 /**
  * Seed the shared solo-IPC cache with a known value (e.g. loaded from a
@@ -149,41 +163,6 @@ double soloIpc(const std::string &app_name, std::uint64_t instructions);
  */
 void primeSoloIpc(const std::string &app_name, std::uint64_t instructions,
                   double ipc);
-
-/**
- * Install a sink invoked once per solo IPC that soloIpc() actually
- * computes (primed and re-requested values never fire it). The
- * ResultStore uses this to persist solo runs alongside experiment
- * records. The sink may be called from any scheduler worker thread,
- * serialized by the solo-cache lock; it must not call back into
- * soloIpc(). There is one global sink: installing a new one replaces the
- * previous (the most recently opened store wins). @p owner tags the
- * installation so clearSoloIpcSink() can release it safely.
- */
-void setSoloIpcSink(
-    std::function<void(const std::string &app, std::uint64_t insts,
-                       double ipc)>
-        sink,
-    const void *owner);
-
-/**
- * Uninstall the solo-IPC sink, but only if @p owner still owns it — a
- * store being destroyed must not clear a sink that a later-opened store
- * has already replaced.
- */
-void clearSoloIpcSink(const void *owner);
-
-/**
- * @p config with its defaulted fields made explicit: instructions == 0
- * resolves to defaultInstructions() (the BH_INSTS environment knob) and
- * bh.window == 0 to scaledBreakHammerConfig() at that horizon — exactly
- * the defaults runExperiment() applies, so running the resolved config is
- * bit-identical to running the original. Persistent caching MUST key the
- * resolved config: the unresolved form aliases every BH_INSTS scale to
- * one content address, and a store consulted under a different
- * environment would silently serve results from the wrong horizon.
- */
-ExperimentConfig resolveExperimentConfig(const ExperimentConfig &config);
 
 /**
  * Mid-run checkpointing policy for runExperiment(). When enabled, every
@@ -210,29 +189,20 @@ struct CheckpointSpec
     }
 };
 
-/** Install the process-wide checkpoint policy (thread-safe). */
-void setCheckpointSpec(const CheckpointSpec &spec);
-
-/** The current process-wide checkpoint policy. */
-CheckpointSpec checkpointSpec();
-
 /**
- * Process-wide mid-simulation progress hook. When installed, every
- * exact runExperiment() simulation invokes @p fn from inside the run
- * loop each time the slowest benign core's retired-instruction count
- * crosses a multiple of everyInsts — observation only, results are
- * bit-identical with or without it. The sweep-service worker
- * (svc/worker.h) uses this to heartbeat its coordinator lease while a
- * long simulation blocks the thread; the fn must therefore be cheap,
- * thread-safe (experiments run on scheduler workers), and must not call
- * back into runExperiment(). Sampled runs do not fire it (their
- * window driver owns the loop); lease deadlines must cover them.
+ * Mid-simulation progress hook. When enabled, an exact runExperiment()
+ * simulation invokes @p fn from inside the run loop each time the
+ * slowest benign core's retired-instruction count crosses a multiple of
+ * everyInsts — observation only, results are bit-identical with or
+ * without it. The sweep-service worker (svc/worker.h) uses this to
+ * heartbeat its coordinator lease while a long simulation blocks the
+ * thread; the fn must therefore be cheap and must not call back into
+ * runExperiment(). Sampled runs do not fire it (their window driver
+ * owns the loop); lease deadlines must cover them.
  */
 struct ProgressHook
 {
-    std::function<void(const ExperimentConfig &config,
-                       std::uint64_t retired, std::uint64_t target)>
-        fn;
+    std::function<void(std::uint64_t retired, std::uint64_t target)> fn;
     std::uint64_t everyInsts = 0; ///< Callback cadence; 0 disables.
 
     bool
@@ -242,60 +212,61 @@ struct ProgressHook
     }
 };
 
-/** Install the process-wide progress hook (thread-safe). */
-void setProgressHook(const ProgressHook &hook);
-
-/** The current process-wide progress hook. */
-ProgressHook progressHook();
-
 /**
- * Install the process-wide sampling spec (thread-safe). Folded into any
- * config whose own spec is disabled by resolveExperimentConfig() — the
- * bh_bench --sample flag routes through this, exactly like the BH_INSTS
- * environment default for instructions.
+ * How experiment points run, passed explicitly to runExperiment(),
+ * resolveExperimentConfig(), the ExperimentScheduler and the
+ * ResultStore. The default value runs exact, single-channel, on one
+ * thread, without checkpoints, progress callbacks or a solo sink.
  */
-void setSamplingSpec(const SamplingSpec &spec);
-
-/** The current process-wide sampling spec. */
-SamplingSpec samplingSpec();
-
-/**
- * Worker threads a sampled run may fan its measurement windows across
- * (intra-point parallelism; default 1). Window results are slotted by
- * window index and aggregated in that order, so sampled results are
- * byte-identical for every job count.
- */
-void setSamplingJobs(unsigned jobs);
-
-/** The current sampling worker-thread count. */
-unsigned samplingJobs();
-
-/**
- * Process-wide DRAM channel/rank overrides (the bh_bench --channels and
- * --ranks flags route through this, like --sample via setSamplingSpec).
- * Folded into any config whose own fields are 0 by
- * resolveExperimentConfig(). Solo-IPC baselines deliberately stay on the
- * default single-channel organization: weighted speedup compares against
- * the same denominator across the channel-count axis.
- */
-struct ChannelSpec
+struct RunOptions
 {
-    unsigned channels = 0; ///< 0 = default (1 channel).
-    unsigned ranks = 0;    ///< 0 = default (2 ranks).
+    /**
+     * Folded by resolveExperimentConfig() into any config whose own
+     * spec is disabled (the bh_bench --sample flag).
+     */
+    SamplingSpec sample;
+    /**
+     * DRAM organization folded into any config whose own fields are 0
+     * (the bh_bench --channels and --ranks flags); 0 = the DDR5 default
+     * (1 channel, 2 ranks). Solo-IPC baselines deliberately stay on the
+     * default single-channel organization: weighted speedup compares
+     * against the same denominator across the channel-count axis.
+     */
+    unsigned channels = 0;
+    unsigned ranks = 0;
+    /**
+     * Threads one sampled run fans its measurement windows across.
+     * Window results are slotted by window index and aggregated in that
+     * order, so sampled results are byte-identical for every count.
+     */
+    unsigned samplingJobs = 1;
+    CheckpointSpec checkpoint;
+    ProgressHook progress;
+    SoloSink soloSink;
 };
 
-/** Install the process-wide channel spec (thread-safe). */
-void setChannelSpec(const ChannelSpec &spec);
-
-/** The current process-wide channel spec. */
-ChannelSpec channelSpec();
+/**
+ * @p config with its defaulted fields made explicit: instructions == 0
+ * resolves to defaultInstructions() (the BH_INSTS environment knob),
+ * bh.window == 0 to scaledBreakHammerConfig() at that horizon, and a
+ * disabled sample spec or zero channels/ranks to @p options' values —
+ * exactly the defaults runExperiment() applies, so running the resolved
+ * config is bit-identical to running the original. Persistent caching
+ * MUST key the resolved config: the unresolved form aliases every
+ * BH_INSTS scale to one content address, and a store consulted under a
+ * different environment would silently serve results from the wrong
+ * horizon.
+ */
+ExperimentConfig resolveExperimentConfig(const ExperimentConfig &config,
+                                         const RunOptions &options = {});
 
 /** Snapshot file of @p config (resolved) inside checkpoint dir @p dir. */
 std::string snapshotPath(const std::string &dir,
                          const ExperimentConfig &config);
 
-/** Run one experiment point and compute its metrics. */
-ExperimentResult runExperiment(const ExperimentConfig &config);
+/** Run one experiment point under @p options and compute its metrics. */
+ExperimentResult runExperiment(const ExperimentConfig &config,
+                               const RunOptions &options = {});
 
 /**
  * Canonical identity of an experiment point: every field that influences

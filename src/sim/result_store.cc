@@ -24,19 +24,18 @@ constexpr const char *kResultsFile = "results.jsonl";
 
 } // namespace
 
-ResultStore::ResultStore(unsigned threads)
+ResultStore::ResultStore(unsigned threads, RunOptions run_options)
     : threads(threads ? threads
-                      : std::max(1u, std::thread::hardware_concurrency()))
-{}
+                      : std::max(1u, std::thread::hardware_concurrency())),
+      options(std::move(run_options))
+{
+    options.samplingJobs = this->threads;
+}
 
 ResultStore::~ResultStore()
 {
-    if (fd >= 0) {
-        // Only releases the sink if this store still owns it — a store
-        // opened later has already replaced it.
-        clearSoloIpcSink(this);
+    if (fd >= 0)
         ::close(fd);
-    }
 }
 
 bool
@@ -84,20 +83,19 @@ ResultStore::open(const std::string &dir, std::string *error)
         return false;
     }
 
-    setSoloIpcSink(
-        [this](const std::string &app, std::uint64_t insts, double ipc) {
-            JsonValue rec = JsonValue::object();
-            rec.set("v", kSchemaVersion);
-            rec.set("kind", "solo");
-            rec.set("app", app);
-            rec.set("insts", insts);
-            rec.set("ipc", ipc);
-            appendLine(rec.dump());
-            std::lock_guard<std::mutex> lock(mutex);
-            soloIngested.emplace(std::make_pair(app, insts), true);
-            ++counters.soloComputed;
-        },
-        this);
+    options.soloSink = [this](const std::string &app, std::uint64_t insts,
+                              double ipc) {
+        JsonValue rec = JsonValue::object();
+        rec.set("v", kSchemaVersion);
+        rec.set("kind", "solo");
+        rec.set("app", app);
+        rec.set("insts", insts);
+        rec.set("ipc", ipc);
+        appendLine(rec.dump());
+        std::lock_guard<std::mutex> lock(mutex);
+        soloIngested.emplace(std::make_pair(app, insts), true);
+        ++counters.soloComputed;
+    };
     return true;
 }
 
@@ -288,7 +286,8 @@ ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
             // Content addresses are always over the RESOLVED config:
             // keying a defaulted one would alias every BH_INSTS scale to
             // the same record and serve wrong-horizon results.
-            ExperimentConfig resolved = resolveExperimentConfig(config);
+            ExperimentConfig resolved =
+                resolveExperimentConfig(config, options);
             std::string key = experimentKey(resolved);
             if (cache.count(key) || !requested.insert(key).second)
                 continue;
@@ -309,15 +308,16 @@ ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
     BH_LOG("prefetch: %zu points, simulating %zu on %u thread(s)",
            configs.size(), missing.size(), threads);
 
-    SchedulerOptions options;
-    options.threads = threads;
+    SchedulerOptions sched;
+    sched.threads = threads;
+    sched.run = options;
     // Stream every finished point to disk as workers complete it, so an
     // interrupted sweep resumes where it stopped instead of restarting.
-    options.onResult = [this](std::size_t, const ExperimentConfig &config,
-                              const ExperimentResult &result) {
+    sched.onResult = [this](std::size_t, const ExperimentConfig &config,
+                            const ExperimentResult &result) {
         appendExperiment(config, result);
     };
-    ExperimentScheduler scheduler(options);
+    ExperimentScheduler scheduler(std::move(sched));
     std::vector<ExperimentResult> results = scheduler.run(missing);
 
     std::lock_guard<std::mutex> lock(mutex);
@@ -330,7 +330,7 @@ ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
 const ExperimentResult &
 ResultStore::get(const ExperimentConfig &config)
 {
-    ExperimentConfig resolved = resolveExperimentConfig(config);
+    ExperimentConfig resolved = resolveExperimentConfig(config, options);
     std::string key = experimentKey(resolved);
     {
         std::lock_guard<std::mutex> lock(mutex);
@@ -340,7 +340,7 @@ ResultStore::get(const ExperimentConfig &config)
         if (const Entry *entry = resolveFromDisk(key, resolved))
             return entry->result;
     }
-    ExperimentResult result = runExperiment(resolved);
+    ExperimentResult result = runExperiment(resolved, options);
     appendExperiment(resolved, result);
     std::lock_guard<std::mutex> lock(mutex);
     ++counters.computed;
@@ -351,7 +351,7 @@ ResultStore::get(const ExperimentConfig &config)
 const ExperimentResult *
 ResultStore::lookup(const ExperimentConfig &config)
 {
-    ExperimentConfig resolved = resolveExperimentConfig(config);
+    ExperimentConfig resolved = resolveExperimentConfig(config, options);
     std::string key = experimentKey(resolved);
     std::lock_guard<std::mutex> lock(mutex);
     auto it = cache.find(key);
@@ -366,7 +366,7 @@ bool
 ResultStore::ingest(const ExperimentConfig &config,
                     const JsonValue &payload, std::string *error)
 {
-    ExperimentConfig resolved = resolveExperimentConfig(config);
+    ExperimentConfig resolved = resolveExperimentConfig(config, options);
     std::string key = experimentKey(resolved);
     ExperimentResult parsed;
     if (!experimentResultFromJson(payload, &parsed)) {

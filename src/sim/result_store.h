@@ -35,7 +35,8 @@
  *
  * Solo-IPC runs (the weighted-speedup denominators) persist through the
  * same file: open() primes the shared solo cache from "solo" records and
- * installs a sink that appends each freshly computed solo IPC.
+ * installs, in the store's RunOptions, a sink that appends each solo IPC
+ * the store's own runs compute.
  */
 #pragma once
 
@@ -82,8 +83,13 @@ class ResultStore
      */
     static constexpr std::uint64_t kSchemaVersion = 2;
 
-    /** @param threads Worker threads for prefetch() grids. */
-    explicit ResultStore(unsigned threads = 1);
+    /**
+     * @param threads Worker threads for prefetch() grids, and the
+     *        samplingJobs of @p options (0 = one per hardware thread).
+     * @param options How every point this store computes runs; configs
+     *        are resolved against it before keying.
+     */
+    explicit ResultStore(unsigned threads = 1, RunOptions options = {});
     ~ResultStore();
 
     ResultStore(const ResultStore &) = delete;
@@ -174,6 +180,12 @@ class ResultStore
 
     unsigned threadCount() const { return threads; }
 
+    /**
+     * The options every point of this store resolves and runs with.
+     * After open() their solo sink writes to this store.
+     */
+    const RunOptions &runOptions() const { return options; }
+
   private:
     struct Entry
     {
@@ -208,6 +220,7 @@ class ResultStore
     int fd = -1;
     bool writeFailed = false;
     unsigned threads;
+    RunOptions options;
     unsigned shardIndex = 0; ///< 0 = unsharded.
     unsigned shardCount = 0;
 };

@@ -46,7 +46,7 @@ ExperimentScheduler::run(const std::vector<ExperimentConfig> &configs)
         std::vector<std::pair<std::string, std::uint64_t>> deps =
             soloDependencies(grid);
         parallelFor(deps.size(), threads, [&](std::size_t i) {
-            soloIpc(deps[i].first, deps[i].second);
+            soloIpc(deps[i].first, deps[i].second, options.run.soloSink);
         });
     }
 
@@ -54,7 +54,7 @@ ExperimentScheduler::run(const std::vector<ExperimentConfig> &configs)
     std::vector<ExperimentResult> results(grid.size());
     std::mutex stream_mutex;
     parallelFor(grid.size(), threads, [&](std::size_t i) {
-        results[i] = runExperiment(grid[i]);
+        results[i] = runExperiment(grid[i], options.run);
         if (options.log)
             options.log->append(i, experimentKey(grid[i]),
                                 experimentResultToJson(grid[i],

@@ -64,6 +64,9 @@ struct SchedulerOptions
 
     /** Optional sink: every result is appended as (index, key, JSON). */
     ResultLog *log = nullptr;
+
+    /** How every point (and every warmed solo IPC) runs. */
+    RunOptions run;
 };
 
 /** Work-stealing parallel runner for experiment grids. */

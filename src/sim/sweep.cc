@@ -176,15 +176,17 @@ SweepSpec::expand() const
 }
 
 std::vector<ExperimentConfig>
-expandWorkUnits(const std::vector<ExperimentConfig> &configs)
+expandWorkUnits(const std::vector<ExperimentConfig> &configs,
+                const RunOptions &options)
 {
     std::vector<ExperimentConfig> units;
     std::set<std::string> seen;
     for (const ExperimentConfig &config : configs) {
         // Resolve before keying, like every persistent-cache consumer:
         // the defaulted form would alias every BH_INSTS scale (and the
-        // process-wide --sample/--channels specs) to one address.
-        ExperimentConfig resolved = resolveExperimentConfig(config);
+        // --sample/--channels defaults of @p options) to one address.
+        ExperimentConfig resolved =
+            resolveExperimentConfig(config, options);
         if (seen.insert(experimentKey(resolved)).second)
             units.push_back(std::move(resolved));
     }

@@ -158,13 +158,15 @@ class SweepSpec
 
 /**
  * Work-unit enumeration for the sweep service (svc/coordinator.h): the
- * resolved, content-address-deduplicated form of @p configs, in
- * first-occurrence order. Each returned config is a leasable unit —
- * fully explicit (resolveExperimentConfig()), so a worker can run it
- * without sharing this process's environment, and unique by
- * experimentKey(), so two figures sweeping the same point lease it once.
+ * form of @p configs resolved against @p options, deduplicated by
+ * content address, in first-occurrence order. Each returned config is a
+ * leasable unit — fully explicit (resolveExperimentConfig()), so a
+ * worker can run it without sharing this process's environment or
+ * options, and unique by experimentKey(), so two figures sweeping the
+ * same point lease it once.
  */
 std::vector<ExperimentConfig>
-expandWorkUnits(const std::vector<ExperimentConfig> &configs);
+expandWorkUnits(const std::vector<ExperimentConfig> &configs,
+                const RunOptions &options = {});
 
 } // namespace bh

@@ -70,8 +70,11 @@ SweepCoordinator::SweepCoordinator(CoordinatorOptions opts,
 {
     // Content-address dedup happens here, once: two figures sweeping the
     // same point become one leasable unit, exactly as they become one
-    // record in the store.
-    for (ExperimentConfig &config : expandWorkUnits(grid)) {
+    // record in the store. Units resolve with the store's options, so
+    // the keys they are ingested under are the keys it looks up.
+    for (ExperimentConfig &config :
+         expandWorkUnits(grid, store != nullptr ? store->runOptions()
+                                                : RunOptions{})) {
         std::string key = experimentKey(config);
         unitByKey.emplace(key, units.size());
         units.push_back(Unit{std::move(config), std::move(key),

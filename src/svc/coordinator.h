@@ -104,7 +104,8 @@ class SweepCoordinator
      * @param store Open (or at least constructed) store; all ingest goes
      *        through it. The coordinator does not own it.
      * @param grid  The experiment points to serve; deduplicated and
-     *        resolved internally (expandWorkUnits).
+     *        resolved against the store's RunOptions internally
+     *        (expandWorkUnits).
      */
     SweepCoordinator(CoordinatorOptions options, ResultStore *store,
                      const std::vector<ExperimentConfig> &grid);

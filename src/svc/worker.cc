@@ -30,23 +30,6 @@ nowMs()
             .count());
 }
 
-// The progress hook and solo sink are process-wide singletons shared by
-// every SweepWorker in the process (the loopback tests run two). The
-// installed callbacks are identical stateless trampolines that route
-// through these thread-locals, so whichever worker installed last is
-// irrelevant — each compute thread reaches its own worker and lease.
-thread_local SweepWorker *tlWorker = nullptr;
-thread_local const std::string *tlKey = nullptr;
-thread_local std::uint64_t tlLastHeartbeatMs = 0;
-
-/** Sink owner tag shared by all workers (last install wins; see above). */
-const void *
-workerSinkOwner()
-{
-    static int tag;
-    return &tag;
-}
-
 } // namespace
 
 SweepWorker::SweepWorker(WorkerOptions opts) : options(std::move(opts))
@@ -67,28 +50,30 @@ SweepWorker::queueFrame(const JsonValue &msg)
 }
 
 void
-SweepWorker::heartbeat(const std::string &key)
-{
-    std::uint64_t now = nowMs();
-    if (now - tlLastHeartbeatMs < options.heartbeatMinIntervalMs)
-        return;
-    tlLastHeartbeatMs = now;
-    queueFrame(makeHeartbeat(key));
-}
-
-void
-SweepWorker::forwardSolo(const std::string &app, std::uint64_t insts,
-                         double ipc)
-{
-    queueFrame(makeSolo(app, insts, ipc));
-}
-
-void
 SweepWorker::computeLoop()
 {
-    tlWorker = this;
+    // This thread's runs heartbeat the lease they simulate and forward
+    // the solo IPCs they compute. The heartbeat rate limit spans every
+    // lease of the thread: a stream of short units must not send one
+    // heartbeat frame each.
+    Lease lease;
+    std::uint64_t lastHeartbeatMs = 0;
+    RunOptions run;
+    run.checkpoint = options.checkpoint;
+    run.progress.everyInsts = options.heartbeatEveryInsts;
+    run.progress.fn = [this, &lease, &lastHeartbeatMs](std::uint64_t,
+                                                       std::uint64_t) {
+        std::uint64_t now = nowMs();
+        if (now - lastHeartbeatMs < options.heartbeatMinIntervalMs)
+            return;
+        lastHeartbeatMs = now;
+        queueFrame(makeHeartbeat(lease.key));
+    };
+    run.soloSink = [this](const std::string &app, std::uint64_t insts,
+                          double ipc) {
+        queueFrame(makeSolo(app, insts, ipc));
+    };
     for (;;) {
-        Lease lease;
         {
             std::unique_lock<std::mutex> lock(workMutex);
             workCv.wait(lock, [this] {
@@ -99,9 +84,7 @@ SweepWorker::computeLoop()
             lease = std::move(workQueue.front());
             workQueue.pop_front();
         }
-        tlKey = &lease.key;
-        ExperimentResult result = runExperiment(lease.config);
-        tlKey = nullptr;
+        ExperimentResult result = runExperiment(lease.config, run);
         queueFrame(makeResult(
             lease.key, experimentResultToJson(lease.config, result)));
         completedCount.fetch_add(1);
@@ -299,23 +282,6 @@ SweepWorker::run(std::string *error)
         return false;
     }
 
-    // Route this worker's solo computes and mid-run progress to the
-    // coordinator. Both callbacks are stateless trampolines over the
-    // thread-locals (see top of file) — safe to reinstall per worker.
-    setSoloIpcSink(
-        [](const std::string &app, std::uint64_t insts, double ipc) {
-            if (tlWorker != nullptr)
-                tlWorker->forwardSolo(app, insts, ipc);
-        },
-        workerSinkOwner());
-    ProgressHook hook;
-    hook.everyInsts = options.heartbeatEveryInsts;
-    hook.fn = [](const ExperimentConfig &, std::uint64_t, std::uint64_t) {
-        if (tlWorker != nullptr && tlKey != nullptr)
-            tlWorker->heartbeat(*tlKey);
-    };
-    setProgressHook(hook);
-
     std::vector<std::thread> computeThreads;
     for (unsigned i = 0; i < options.jobs; ++i)
         computeThreads.emplace_back([this] { computeLoop(); });
@@ -364,7 +330,6 @@ SweepWorker::run(std::string *error)
     workCv.notify_all();
     for (std::thread &t : computeThreads)
         t.join();
-    clearSoloIpcSink(workerSinkOwner());
 
     if (!finished && error != nullptr)
         *error = fatalError.empty() ? "stopped before completion"

@@ -7,17 +7,16 @@
  * outlive a coordinator restart), keeps up to `jobs` leases in flight
  * across that many compute threads, and for each lease runs the leased
  * ExperimentConfig through the ordinary runExperiment() path — so the
- * process-wide checkpoint policy (setCheckpointSpec) applies unchanged:
- * a worker started with --checkpoint-every snapshots mid-run, and a
- * re-leased unit landing back on the same worker resumes from its
+ * worker's checkpoint policy (WorkerOptions::checkpoint) applies
+ * unchanged: a worker started with --checkpoint-every snapshots mid-run,
+ * and a re-leased unit landing back on the same worker resumes from its
  * snapshot instead of starting over.
  *
- * While a simulation runs, the process-wide progress hook
- * (setProgressHook) fires at an instruction cadence; the worker routes
- * it through thread-locals to the owning (worker, lease) pair and sends
- * a wall-clock-rate-limited heartbeat so the coordinator keeps the lease
- * alive. Solo-IPC denominators the worker computes are forwarded as
- * `solo` records through the same thread-local routing.
+ * Each compute thread runs its leases with its own RunOptions: the
+ * progress hook fires at an instruction cadence and sends a
+ * wall-clock-rate-limited heartbeat for the lease being simulated, so
+ * the coordinator keeps it alive, and the solo sink forwards the
+ * solo-IPC denominators the thread computes as `solo` records.
  *
  * One I/O thread owns the socket (the compute threads only append
  * encoded frames to an outbox); frames still queued when the connection
@@ -70,6 +69,8 @@ struct WorkerOptions
      * (the coordinator is gone, not busy). 0 = retry forever.
      */
     unsigned maxConnectFailures = 60;
+    /** Mid-run snapshots of every leased simulation; off by default. */
+    CheckpointSpec checkpoint;
 };
 
 /** One coordinator-driven sweep worker (see file comment). */
@@ -115,13 +116,6 @@ class SweepWorker
 
     /** Append one encoded frame to the outbox (any thread). */
     void queueFrame(const JsonValue &msg);
-
-    /** Rate-limited heartbeat for @p key (compute threads, via hook). */
-    void heartbeat(const std::string &key);
-
-    /** Forward a freshly computed solo IPC (compute threads, via sink). */
-    void forwardSolo(const std::string &app, std::uint64_t insts,
-                     double ipc);
 
     /** Connect to the coordinator; -1 on failure. */
     int connectOnce(std::string *error);

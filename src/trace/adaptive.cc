@@ -9,36 +9,40 @@ namespace {
 /** Idle-phase pacing: benign-looking low-intensity compute. */
 constexpr std::uint32_t kIdleBubbles = 48;
 
+/**
+ * The configured rotation stride, or by default one that shifts past the
+ * row span of @p seq plus a guard gap, so rotated windows never overlap
+ * the previous victims.
+ */
+unsigned
+rotationStride(const AttackerConfig &attack, const AdaptiveConfig &adaptive,
+               const std::vector<unsigned> &seq)
+{
+    if (adaptive.rotationStride)
+        return adaptive.rotationStride;
+    unsigned span = 0;
+    for (unsigned row : seq)
+        span = std::max(span, row - attack.rowBase + 1);
+    return span + 8;
+}
+
 } // namespace
 
 AdaptiveAttackerTrace::AdaptiveAttackerTrace(const AttackerConfig &attack,
                                              const AdaptiveConfig &adaptive,
                                              const AddressMap &mapper,
                                              std::uint64_t seed)
-    : attack_(attack), adaptive_(adaptive), mapper(mapper), rng(seed)
-{
-    const DramOrg &org = mapper.org();
-    unsigned total_banks = org.totalBanks() * org.channels;
-    unsigned num_banks = attack.numBanks
-                             ? std::min(attack.numBanks, total_banks)
-                             : total_banks;
-
-    seq = attackerRowSequence(attack_);
-    bankCoords = attackerBankCoords(org, num_banks);
-    bubbles_ = attack_.bubbles;
-
-    // Auto stride: shift past the pattern's whole row span plus a guard
-    // gap, so rotated windows never overlap the previous victims.
-    unsigned span = 0;
-    for (unsigned row : seq)
-        span = std::max(span, row - attack_.rowBase + 1);
-    stride = adaptive_.rotationStride ? adaptive_.rotationStride : span + 8;
-
-    // Idle-phase cached accesses live far from any rotated aggressor
-    // window (half the bank away), so hand-off idling never hammers.
-    idleRow =
-        (attack_.rowBase + org.rowsPerBank / 2) % org.rowsPerBank;
-}
+    : attack_(attack), adaptive_(adaptive), mapper(mapper), rng(seed),
+      seq(attackerRowSequence(attack)),
+      bankCoords(attackerBankCoords(mapper.org(),
+                                    attackedBankCount(attack, mapper.org()))),
+      stride(rotationStride(attack, adaptive, seq)),
+      // Idle-phase cached accesses live far from any rotated aggressor
+      // window (half the bank away), so hand-off idling never hammers.
+      idleRow((attack.rowBase + mapper.org().rowsPerBank / 2) %
+              mapper.org().rowsPerBank),
+      bubbles_(attack.bubbles)
+{}
 
 bool
 AdaptiveAttackerTrace::activeNow() const

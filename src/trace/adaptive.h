@@ -149,10 +149,8 @@ class AdaptiveAttackerTrace : public TraceSource
 
     std::vector<unsigned> seq;           ///< Base row visit sequence.
     std::vector<DramAddress> bankCoords; ///< One template per bank.
-    // bh-audit: skip(stride) -- derived from config at construction
-    unsigned stride = 0;                 ///< Effective rotation stride.
-    // bh-audit: skip(idleRow) -- derived from config at construction
-    unsigned idleRow = 0;                ///< Cached idle-phase row.
+    const unsigned stride;               ///< Effective rotation stride.
+    const unsigned idleRow;              ///< Cached idle-phase row.
 
     // --- Mutable adaptation state (all serialized) ---
     unsigned bankCursor = 0;

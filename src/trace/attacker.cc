@@ -83,19 +83,22 @@ attackerBankCoords(const DramOrg &org, unsigned num_banks)
     return coords;
 }
 
+unsigned
+attackedBankCount(const AttackerConfig &config, const DramOrg &org)
+{
+    unsigned total_banks = org.totalBanks() * org.channels;
+    return config.numBanks ? std::min(config.numBanks, total_banks)
+                           : total_banks;
+}
+
 AttackerTrace::AttackerTrace(const AttackerConfig &config,
                              const AddressMap &mapper, std::uint64_t seed)
-    : config_(config), mapper(mapper), rng(seed)
-{
-    const DramOrg &org = mapper.org();
-    unsigned total_banks = org.totalBanks() * org.channels;
-    numBanks_ = config.numBanks ? std::min(config.numBanks, total_banks)
-                                : total_banks;
-
-    rows = attackerAggressorRows(config);
-    seq = attackerRowSequence(config);
-    bankCoords = attackerBankCoords(org, numBanks_);
-}
+    : config_(config), mapper(mapper), rng(seed),
+      numBanks_(attackedBankCount(config, mapper.org())),
+      rows(attackerAggressorRows(config)),
+      seq(attackerRowSequence(config)),
+      bankCoords(attackerBankCoords(mapper.org(), numBanks_))
+{}
 
 TraceRecord
 AttackerTrace::next()

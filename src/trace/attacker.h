@@ -127,13 +127,12 @@ class AttackerTrace : public TraceSource
     const AddressMap &mapper;
     Rng rng;
     const std::string name_ = "hammer_attacker";
-    // bh-audit: skip(rows) -- derived from config_ at construction
-    std::vector<unsigned> rows; ///< Unique aggressor rows (introspection).
+    const unsigned numBanks_;
+    const std::vector<unsigned> rows; ///< Unique aggressor rows.
     std::vector<unsigned> seq;  ///< Row visit sequence (one period).
     std::vector<DramAddress> bankCoords; ///< One template per bank.
     unsigned bankCursor = 0;
     unsigned rowCursor = 0;
-    unsigned numBanks_ = 0;  // bh-audit: skip(numBanks_) -- derived from config_ at construction
 };
 
 /**
@@ -144,5 +143,9 @@ class AttackerTrace : public TraceSource
  */
 std::vector<DramAddress> attackerBankCoords(const DramOrg &org,
                                             unsigned num_banks);
+
+/** Banks @p config attacks in @p org: its numBanks, capped (0 = all). */
+unsigned attackedBankCount(const AttackerConfig &config,
+                           const DramOrg &org);
 
 } // namespace bh

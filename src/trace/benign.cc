@@ -6,30 +6,45 @@
 
 namespace bh {
 
-BenignTrace::BenignTrace(const AppProfile &profile,
-                         const AddressMap &mapper, unsigned row_base,
-                         unsigned row_span, std::uint64_t seed)
-    : profile_(profile), mapper(mapper), rowBase(row_base), rng(seed)
-{
-    const DramOrg &org = mapper.org();
-    BH_ASSERT(row_span > 0, "benign trace needs a row region");
+namespace {
 
-    // Bound the region so the working set matches the profile: the app
-    // only touches enough rows (across all banks of all channels) to
-    // cover its lines.
+/**
+ * Rows per bank @p profile uses out of its @p row_span: the region is
+ * bounded so the working set matches the profile — the app only touches
+ * enough rows (across all banks of all channels) to cover its lines.
+ */
+unsigned
+usedRowSpan(const AppProfile &profile, const DramOrg &org,
+            unsigned row_span)
+{
+    BH_ASSERT(row_span > 0, "benign trace needs a row region");
     std::uint64_t lines_per_row_layer =
         static_cast<std::uint64_t>(org.totalBanks()) * org.linesPerRow *
         org.channels;
     unsigned needed_rows = static_cast<unsigned>(std::max<std::uint64_t>(
         1, (profile.workingSetLines + lines_per_row_layer - 1) /
                lines_per_row_layer));
-    rowSpan = std::min(row_span, needed_rows);
+    return std::min(row_span, needed_rows);
+}
 
-    seqPos = RowRef{0, 0, 0, rowBase};
+} // namespace
 
-    hotRowRefs.reserve(profile.hotRows);
-    for (unsigned i = 0; i < profile.hotRows; ++i)
-        hotRowRefs.push_back(randomRow());
+BenignTrace::BenignTrace(const AppProfile &profile,
+                         const AddressMap &mapper, unsigned row_base,
+                         unsigned row_span, std::uint64_t seed)
+    : profile_(profile), mapper(mapper), rowBase(row_base),
+      rowSpan(usedRowSpan(profile, mapper.org(), row_span)), rng(seed),
+      seqPos{0, 0, 0, row_base}, hotRowRefs(drawHotRows(profile.hotRows))
+{}
+
+std::vector<BenignTrace::RowRef>
+BenignTrace::drawHotRows(unsigned count)
+{
+    std::vector<RowRef> refs;
+    refs.reserve(count);
+    for (unsigned i = 0; i < count; ++i)
+        refs.push_back(randomRow());
+    return refs;
 }
 
 Addr

@@ -83,6 +83,8 @@ class BenignTrace : public TraceSource
 
     Addr encode(const RowRef &ref, unsigned column) const;
     RowRef randomRow();
+    /** @p count random rows; the constructor's first RNG draws. */
+    std::vector<RowRef> drawHotRows(unsigned count);
 
     template <class Ar, class Self>
     static void
@@ -101,14 +103,14 @@ class BenignTrace : public TraceSource
     const AppProfile profile_;
     const AddressMap &mapper;
     const unsigned rowBase;    ///< Per-slot row partition.
-    // bh-audit: skip(rowSpan) -- derived from profile_ at construction
-    unsigned rowSpan; ///< Rows per bank actually used (working-set bound).
+    const unsigned rowSpan; ///< Rows per bank used (working-set bound).
     Rng rng;
 
     RowRef seqPos;        ///< Current sequential stream position.
     unsigned seqColumn = 0;
-    // bh-audit: skip(hotRowRefs) -- rebuilt identically by the seeded constructor
-    std::vector<RowRef> hotRowRefs;
+    /** Initialized last: drawHotRows() reads rng, rowBase and rowSpan,
+     *  and its draws must be the seeded RNG's first ones. */
+    const std::vector<RowRef> hotRowRefs;
 };
 
 /** The built-in application catalog (names echo the paper's Table 3). */

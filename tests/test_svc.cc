@@ -27,9 +27,11 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "sim/experiment.h"
+#include "sim/mixes.h"
 #include "sim/result_store.h"
 #include "svc/coordinator.h"
 #include "svc/frame.h"
@@ -954,6 +956,176 @@ TEST(SweepServiceTest, ShortUnitsCostTheServiceLittleTimePerUnit)
     EXPECT_LT(overhead_ms, 25.0)
         << "service " << svc_s << " s vs local " << local_s << " s";
     EXPECT_EQ(store.toJson().dump(), local_json);
+}
+
+TEST(SweepServiceTest, UnitsResolveWithTheStoresRunOptions)
+{
+    // bh_bench --serve with --channels/--sample: the coordinator resolves
+    // its units with the store's options, so a worker that knows none of
+    // them reproduces a local prefetch under the same options.
+    RunOptions run;
+    run.channels = 2;
+    run.sample = SamplingSpec{500, 500, 1000};
+    std::vector<ExperimentConfig> grid;
+    for (const char *pattern : {"HHMA", "LLLA"}) {
+        ExperimentConfig cfg;
+        cfg.mix = makeMix(pattern, 0);
+        cfg.mechanism = MitigationType::kGraphene;
+        cfg.nRh = 512;
+        cfg.breakHammer = true;
+        cfg.instructions = 3000;
+        grid.push_back(cfg);
+    }
+
+    std::string local_json;
+    {
+        ResultStore local(2, run);
+        std::string error;
+        ASSERT_TRUE(local.open(freshDir("opts_local"), &error)) << error;
+        local.prefetch(grid);
+        local_json = local.toJson().dump();
+    }
+
+    std::string dir = freshDir("opts_svc");
+    ResultStore store(1, run);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    CoordinatorOptions copts;
+    copts.port = 0;
+    copts.leaseTimeoutMs = 60000;
+    SweepCoordinator coordinator(copts, &store, grid);
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::thread serve([&] {
+        std::string serve_error;
+        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
+    });
+    WorkerOptions wopts;
+    wopts.port = coordinator.port();
+    wopts.jobs = 1;
+    wopts.name = "options";
+    SweepWorker worker(wopts);
+    std::string worker_error;
+    EXPECT_TRUE(worker.run(&worker_error)) << worker_error;
+    serve.join();
+
+    EXPECT_EQ(store.toJson().dump(), local_json);
+    std::vector<std::string> lines = experimentLines(dir);
+    ASSERT_EQ(lines.size(), grid.size());
+    for (const std::string &line : lines) {
+        EXPECT_NE(line.find("|ch=2"), std::string::npos) << line;
+        EXPECT_NE(line.find("|sample=500/500/1000"), std::string::npos)
+            << line;
+    }
+}
+
+TEST(SweepServiceTest, WorkerLeavesAnEarlierStoresSoloSinkAlone)
+{
+    // Regression: SweepWorker::run() used to end by uninstalling the
+    // process-wide solo sink, so a store opened before it computed its
+    // later solo IPCs without persisting them.
+    std::string dir = freshDir("solo_sink");
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+
+    // Bound but not listening: the worker's only connect is refused.
+    int refuser = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(refuser, reinterpret_cast<sockaddr *>(&addr), len), 0);
+    ASSERT_EQ(
+        ::getsockname(refuser, reinterpret_cast<sockaddr *>(&addr), &len),
+        0);
+    WorkerOptions wopts;
+    wopts.port = ntohs(addr.sin_port);
+    wopts.maxConnectFailures = 1;
+    SweepWorker worker(wopts);
+    std::string worker_error;
+    EXPECT_FALSE(worker.run(&worker_error));
+    ::close(refuser);
+
+    ExperimentConfig cfg;
+    cfg.mix = makeMix("MMLL", 0);
+    cfg.mechanism = MitigationType::kNone;
+    cfg.instructions = 2222; // No other test runs solos at this horizon.
+    store.get(cfg);
+
+    std::vector<std::string> apps = benignApps(cfg.mix);
+    const std::size_t unique =
+        std::set<std::string>(apps.begin(), apps.end()).size();
+    EXPECT_EQ(store.stats().soloComputed, unique);
+    std::ifstream in(dir + "/results.jsonl");
+    std::string line;
+    std::size_t solo_lines = 0;
+    while (std::getline(in, line))
+        if (line.find("\"kind\":\"solo\"") != std::string::npos &&
+            line.find("\"insts\":2222") != std::string::npos)
+            ++solo_lines;
+    EXPECT_EQ(solo_lines, unique);
+}
+
+TEST(SweepServiceTest, HeartbeatsKeepALongUnitLeased)
+{
+    // One unit simulates for several lease timeouts; the progress hook's
+    // heartbeats (every ~100 ms against a 1 s deadline) must keep its
+    // lease from expiring.
+    using Clock = std::chrono::steady_clock;
+    const std::uint64_t kLeaseTimeoutMs = 1000;
+    ExperimentConfig cfg;
+    cfg.mix = makeMix("HHMA", 0);
+    cfg.mechanism = MitigationType::kPara;
+    cfg.nRh = 64;
+    cfg.breakHammer = true;
+    // Solo runs do not heartbeat: each horizon's are computed before
+    // anything is timed or leased.
+    auto warm_solos = [&] {
+        for (const auto &[app, insts] : soloDependencies({cfg}))
+            soloIpc(app, insts);
+    };
+    // Size the unit to about three timeouts on this host and build: a
+    // fixed horizon is too short on a fast machine and needlessly long
+    // under the sanitizers.
+    cfg.instructions = 20000;
+    warm_solos();
+    Clock::time_point t0 = Clock::now();
+    runExperiment(cfg);
+    double probe_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    cfg.instructions = static_cast<std::uint64_t>(
+        std::clamp(3.0 * kLeaseTimeoutMs / 1000.0 / probe_s * 20000.0,
+                   20000.0, 4e6));
+    warm_solos();
+
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(freshDir("heartbeat"), &error)) << error;
+    CoordinatorOptions copts;
+    copts.port = 0;
+    copts.leaseTimeoutMs = kLeaseTimeoutMs;
+    SweepCoordinator coordinator(copts, &store, {cfg});
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::thread serve([&] {
+        std::string serve_error;
+        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
+    });
+    WorkerOptions wopts;
+    wopts.port = coordinator.port();
+    wopts.jobs = 1;
+    wopts.name = "long";
+    wopts.heartbeatEveryInsts = 500;
+    wopts.heartbeatMinIntervalMs = 100;
+    SweepWorker worker(wopts);
+    std::string worker_error;
+    t0 = Clock::now();
+    EXPECT_TRUE(worker.run(&worker_error)) << worker_error;
+    double unit_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    serve.join();
+
+    CoordinatorMetrics m = coordinator.metrics();
+    EXPECT_EQ(m.unitsDone, 1u);
+    EXPECT_EQ(m.leasesExpired, 0u)
+        << cfg.instructions << " insts took " << unit_s << " s";
 }
 
 TEST(SweepServiceTest, SecondStoreWriterIsRefused)
