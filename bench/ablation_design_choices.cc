@@ -70,7 +70,7 @@ BH_BENCH_SWEEP_FIGURE("ablation", "Ablations: BreakHammer design choices",
         std::uint64_t marks = 0, actions = 0;
         for (const std::string &pattern : attackMixPatterns()) {
             const ExperimentResult &r =
-                ctx.store->get(variantConfig(makeMix(pattern, 0), v));
+                store.get(variantConfig(makeMix(pattern, 0), v));
             ws.push_back(r.weightedSpeedup);
             marks += r.raw.suspectMarks;
             actions += r.preventiveActions;

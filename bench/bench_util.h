@@ -7,9 +7,9 @@
  * are raw text tables so diffs against EXPERIMENTS.md stay reviewable.
  *
  * Figures declare their grid as a SweepSpec (sim/sweep.h); the runner
- * prefetches it through the Context's shared ResultStore (parallel at
- * --jobs=N, deduped across figures, persisted with --store) before the
- * render function runs, so point()/baseline() are cache reads.
+ * prefetches it through the shared ResultStore (parallel at --jobs=N,
+ * deduped across figures, persisted with --store) before the render
+ * function runs, so point()/baseline() are cache reads.
  */
 #pragma once
 
@@ -22,8 +22,6 @@
 #include "stats/metrics.h"
 
 namespace bh::benchutil {
-
-using bench::Context;
 
 /** Print the standard bench header with the scale knobs in effect. */
 inline void
@@ -81,17 +79,17 @@ baselineConfig(const MixSpec &mix)
 
 /** Cached result of one (mix, mechanism, N_RH, BH) point. */
 inline const ExperimentResult &
-point(Context &ctx, const MixSpec &mix, MitigationType mech, unsigned n_rh,
-      bool break_hammer)
+point(ResultStore &store, const MixSpec &mix, MitigationType mech,
+      unsigned n_rh, bool break_hammer)
 {
-    return ctx.store->get(pointConfig(mix, mech, n_rh, break_hammer));
+    return store.get(pointConfig(mix, mech, n_rh, break_hammer));
 }
 
 /** Cached no-mitigation baseline of @p mix. */
 inline const ExperimentResult &
-baseline(Context &ctx, const MixSpec &mix)
+baseline(ResultStore &store, const MixSpec &mix)
 {
-    return ctx.store->get(baselineConfig(mix));
+    return store.get(baselineConfig(mix));
 }
 
 } // namespace bh::benchutil

@@ -74,7 +74,7 @@ BH_BENCH_SWEEP_STUDY("chscale",
             std::vector<double> ws, sd;
             for (const MixSpec &mix : scaleMixes(cores)) {
                 const ExperimentResult &r =
-                    ctx.store->get(scalePoint(mix, ch));
+                    store.get(scalePoint(mix, ch));
                 ws.push_back(r.weightedSpeedup);
                 sd.push_back(r.maxSlowdown);
             }

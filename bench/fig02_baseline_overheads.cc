@@ -39,8 +39,8 @@ BH_BENCH_SWEEP_FIGURE("fig02", "Fig 2: baseline mitigation overheads (benign)",
         for (MitigationType mech : mechanisms()) {
             std::vector<double> normalized;
             for (const MixSpec &mix : mixes) {
-                double base = baseline(ctx, mix).weightedSpeedup;
-                const ExperimentResult &r = point(ctx, mix, mech, n_rh,
+                double base = baseline(store, mix).weightedSpeedup;
+                const ExperimentResult &r = point(store, mix, mech, n_rh,
                                                   false);
                 normalized.push_back(r.weightedSpeedup / base);
             }

@@ -30,9 +30,9 @@ BH_BENCH_SWEEP_FIGURE("fig06",
             std::vector<double> vals;
             for (unsigned i = 0; i < mixesPerClass(); ++i) {
                 MixSpec mix = makeMix(pattern, i);
-                const ExperimentResult &base = point(ctx, mix, mech, n_rh,
+                const ExperimentResult &base = point(store, mix, mech, n_rh,
                                                      false);
-                const ExperimentResult &paired = point(ctx, mix, mech,
+                const ExperimentResult &paired = point(store, mix, mech,
                                                        n_rh, true);
                 double norm = paired.weightedSpeedup / base.weightedSpeedup;
                 vals.push_back(norm);

@@ -29,12 +29,12 @@ BH_BENCH_SWEEP_FIGURE("fig08",
         for (MitigationType mech : pairedMitigations()) {
             std::vector<double> base_norm, paired_norm;
             for (const MixSpec &mix : mixes) {
-                double nodef = baseline(ctx, mix).weightedSpeedup;
+                double nodef = baseline(store, mix).weightedSpeedup;
                 base_norm.push_back(
-                    point(ctx, mix, mech, n_rh, false).weightedSpeedup /
+                    point(store, mix, mech, n_rh, false).weightedSpeedup /
                     nodef);
                 paired_norm.push_back(
-                    point(ctx, mix, mech, n_rh, true).weightedSpeedup /
+                    point(store, mix, mech, n_rh, true).weightedSpeedup /
                     nodef);
             }
             std::printf(" %9.3f %9.3f", geomean(base_norm),

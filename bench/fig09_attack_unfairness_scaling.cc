@@ -28,12 +28,12 @@ BH_BENCH_SWEEP_FIGURE("fig09",
         for (MitigationType mech : pairedMitigations()) {
             std::vector<double> base_norm, paired_norm;
             for (const MixSpec &mix : mixes) {
-                double nodef = baseline(ctx, mix).maxSlowdown;
+                double nodef = baseline(store, mix).maxSlowdown;
                 base_norm.push_back(
-                    point(ctx, mix, mech, n_rh, false).maxSlowdown /
+                    point(store, mix, mech, n_rh, false).maxSlowdown /
                     nodef);
                 paired_norm.push_back(
-                    point(ctx, mix, mech, n_rh, true).maxSlowdown /
+                    point(store, mix, mech, n_rh, true).maxSlowdown /
                     nodef);
             }
             std::printf(" %9.3f %9.3f", geomean(base_norm),

@@ -42,9 +42,9 @@ BH_BENCH_SWEEP_FIGURE("fig10",
             double base_sum = 0, paired_sum = 0;
             for (const MixSpec &mix : mixes) {
                 base_sum += static_cast<double>(
-                    point(ctx, mix, mech, n_rh, false).preventiveActions);
+                    point(store, mix, mech, n_rh, false).preventiveActions);
                 paired_sum += static_cast<double>(
-                    point(ctx, mix, mech, n_rh, true).preventiveActions);
+                    point(store, mix, mech, n_rh, true).preventiveActions);
             }
             double per_mix = 1.0 / static_cast<double>(mixes.size());
             std::printf(" %10.0f %10.0f", base_sum * per_mix,

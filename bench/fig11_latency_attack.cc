@@ -18,7 +18,7 @@ BH_BENCH_SWEEP_FIGURE("fig11",
     MixSpec mix = makeMix("HHMA", 0);
     const double pcts[] = {50, 90, 99, 99.9};
 
-    const ExperimentResult &nodef = baseline(ctx, mix);
+    const ExperimentResult &nodef = baseline(store, mix);
 
     std::printf("%-12s %8s %8s %8s %8s   (latency ns at P50/P90/P99/P99.9,"
                 " mix %s)\n",
@@ -32,8 +32,8 @@ BH_BENCH_SWEEP_FIGURE("fig11",
     print_row("NoDefense", nodef.raw.benignReadLatencyNs);
 
     for (MitigationType mech : pairedMitigations()) {
-        const ExperimentResult &base = point(ctx, mix, mech, n_rh, false);
-        const ExperimentResult &paired = point(ctx, mix, mech, n_rh, true);
+        const ExperimentResult &base = point(store, mix, mech, n_rh, false);
+        const ExperimentResult &paired = point(store, mix, mech, n_rh, true);
         print_row(mitigationName(mech), base.raw.benignReadLatencyNs);
         print_row(std::string(mitigationName(mech)) + "+BH",
                   paired.raw.benignReadLatencyNs);

@@ -27,11 +27,11 @@ BH_BENCH_SWEEP_FIGURE("fig12",
         for (MitigationType mech : pairedMitigations()) {
             std::vector<double> base_norm, paired_norm;
             for (const MixSpec &mix : mixes) {
-                double nodef = baseline(ctx, mix).energyNj;
+                double nodef = baseline(store, mix).energyNj;
                 double b =
-                    point(ctx, mix, mech, n_rh, false).energyNj / nodef;
+                    point(store, mix, mech, n_rh, false).energyNj / nodef;
                 double p =
-                    point(ctx, mix, mech, n_rh, true).energyNj / nodef;
+                    point(store, mix, mech, n_rh, true).energyNj / nodef;
                 base_norm.push_back(b);
                 paired_norm.push_back(p);
                 savings.push_back(p / b);

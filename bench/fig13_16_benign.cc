@@ -41,9 +41,9 @@ BH_BENCH_SWEEP_FIGURE("fig13_16",
                 std::vector<double> vals;
                 for (unsigned i = 0; i < mixesPerClass(); ++i) {
                     MixSpec mix = makeMix(pattern, i);
-                    const ExperimentResult &base = point(ctx, mix, mech,
+                    const ExperimentResult &base = point(store, mix, mech,
                                                          fp.nRh, false);
-                    const ExperimentResult &paired = point(ctx, mix, mech,
+                    const ExperimentResult &paired = point(store, mix, mech,
                                                            fp.nRh, true);
                     vals.push_back(
                         fp.unfairness
@@ -73,9 +73,9 @@ BH_BENCH_SWEEP_FIGURE("fig13_16",
             std::vector<double> ws, uf;
             for (const std::string &pattern : benignMixPatterns()) {
                 MixSpec mix = makeMix(pattern, 0);
-                const ExperimentResult &base = point(ctx, mix, mech, n_rh,
+                const ExperimentResult &base = point(store, mix, mech, n_rh,
                                                      false);
-                const ExperimentResult &paired = point(ctx, mix, mech,
+                const ExperimentResult &paired = point(store, mix, mech,
                                                        n_rh, true);
                 ws.push_back(paired.weightedSpeedup / base.weightedSpeedup);
                 uf.push_back(paired.maxSlowdown / base.maxSlowdown);

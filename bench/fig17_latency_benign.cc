@@ -16,7 +16,7 @@ BH_BENCH_SWEEP_FIGURE("fig17",
     MixSpec mix = makeMix("HHMM", 0);
     const double pcts[] = {50, 90, 99, 99.9};
 
-    const ExperimentResult &nodef = baseline(ctx, mix);
+    const ExperimentResult &nodef = baseline(store, mix);
 
     std::printf("%-12s %8s %8s %8s %8s   (latency ns, mix %s)\n", "config",
                 "P50", "P90", "P99", "P99.9", mix.name.c_str());
@@ -29,8 +29,8 @@ BH_BENCH_SWEEP_FIGURE("fig17",
     print_row("NoDefense", nodef.raw.benignReadLatencyNs);
 
     for (MitigationType mech : pairedMitigations()) {
-        const ExperimentResult &base = point(ctx, mix, mech, n_rh, false);
-        const ExperimentResult &paired = point(ctx, mix, mech, n_rh, true);
+        const ExperimentResult &base = point(store, mix, mech, n_rh, false);
+        const ExperimentResult &paired = point(store, mix, mech, n_rh, true);
         print_row(mitigationName(mech), base.raw.benignReadLatencyNs);
         print_row(std::string(mitigationName(mech)) + "+BH",
                   paired.raw.benignReadLatencyNs);

@@ -26,18 +26,18 @@ BH_BENCH_SWEEP_FIGURE("fig18", "Fig 18: BreakHammer pairings vs BlockHammer",
         for (MitigationType mech : pairedMitigations()) {
             std::vector<double> vals;
             for (const MixSpec &mix : mixes) {
-                double nodef = baseline(ctx, mix).weightedSpeedup;
+                double nodef = baseline(store, mix).weightedSpeedup;
                 vals.push_back(
-                    point(ctx, mix, mech, n_rh, true).weightedSpeedup /
+                    point(store, mix, mech, n_rh, true).weightedSpeedup /
                     nodef);
             }
             std::printf(" %13.3f", geomean(vals));
         }
         std::vector<double> bhm;
         for (const MixSpec &mix : mixes) {
-            double nodef = baseline(ctx, mix).weightedSpeedup;
+            double nodef = baseline(store, mix).weightedSpeedup;
             bhm.push_back(
-                point(ctx, mix, MitigationType::kBlockHammer, n_rh, false)
+                point(store, mix, MitigationType::kBlockHammer, n_rh, false)
                     .weightedSpeedup /
                 nodef);
         }

@@ -65,9 +65,9 @@ BH_BENCH_SWEEP_FIGURE("fig19", "Fig 19: sensitivity to TH_threat",
             for (const std::string &pattern :
                  attack ? attackMixPatterns() : benignMixPatterns()) {
                 reference[n_rh].push_back(
-                    ctx.store
-                        ->get(threatConfig(makeMix(pattern, 0), n_rh,
-                                           scaled, kMultipliers[2]))
+                    store
+                        .get(threatConfig(makeMix(pattern, 0), n_rh,
+                                          scaled, kMultipliers[2]))
                         .weightedSpeedup);
             }
         }
@@ -80,9 +80,9 @@ BH_BENCH_SWEEP_FIGURE("fig19", "Fig 19: sensitivity to TH_threat",
                 for (const std::string &pattern :
                      attack ? attackMixPatterns() : benignMixPatterns()) {
                     normalized.push_back(
-                        ctx.store
-                            ->get(threatConfig(makeMix(pattern, 0), n_rh,
-                                               scaled, mult))
+                        store
+                            .get(threatConfig(makeMix(pattern, 0), n_rh,
+                                              scaled, mult))
                             .weightedSpeedup /
                         reference[n_rh][idx++]);
                 }

@@ -328,6 +328,10 @@ main(int argc, char **argv)
             jobs = static_cast<unsigned>(parsed);
         } else if (flag_value(arg, "--json", &i, &value)) {
             json_path = value;
+            if (json_path.empty()) {
+                std::fprintf(stderr, "error: --json wants a file path\n");
+                return 2;
+            }
         } else if (flag_value(arg, "--store", &i, &value)) {
             store_dir = value;
             if (store_dir.empty()) {
@@ -597,7 +601,6 @@ main(int argc, char **argv)
                          "note: --shard without --store or --json "
                          "discards the computed points\n");
     }
-    bench::Context ctx{&store, jobs};
 
     auto total_start = Clock::now();
     if (redteam_mode) {
@@ -670,7 +673,7 @@ main(int argc, char **argv)
             auto start = Clock::now();
             if (figure.sweep)
                 store.prefetch(figure.sweep().expand());
-            figure.render(ctx);
+            figure.render(store);
             double secs =
                 std::chrono::duration<double>(Clock::now() - start)
                     .count();

@@ -26,17 +26,9 @@
 
 namespace bh::bench {
 
-/** Shared state handed to every figure render. */
-struct Context
-{
-    /** Content-addressed result cache shared across figures. */
-    ResultStore *store = nullptr;
-    /** Worker threads for grid prefetches. */
-    unsigned jobs = 1;
-};
-
 using SweepFn = SweepSpec (*)();
-using RenderFn = void (*)(Context &);
+/** Renders from the content-addressed store shared across figures. */
+using RenderFn = void (*)(ResultStore &);
 
 /** One registered figure driver. */
 struct Figure
@@ -84,10 +76,10 @@ struct Registrar
  *   BH_BENCH_FIGURE("fig05", "Security bound", "paper Fig 5") { ... }
  */
 #define BH_BENCH_FIGURE(name, title, ref)                                      \
-    static void bhBenchRun(::bh::bench::Context &ctx);                         \
+    static void bhBenchRun(::bh::ResultStore &store);                          \
     static ::bh::bench::Registrar bhBenchRegistrar{name, title, ref,           \
                                                    nullptr, &bhBenchRun};      \
-    static void bhBenchRun([[maybe_unused]] ::bh::bench::Context &ctx)
+    static void bhBenchRun([[maybe_unused]] ::bh::ResultStore &store)
 
 /**
  * Define and register a figure with a declarative experiment sweep. The
@@ -95,7 +87,7 @@ struct Registrar
  * forward-declared sweep function:
  *
  *   BH_BENCH_SWEEP_FIGURE("fig06", "Benign performance under attack",
- *                         "paper Fig 6 (§8.1)") { ... render from ctx ... }
+ *                         "paper Fig 6 (§8.1)") { ... render from store ... }
  *
  *   static bh::SweepSpec
  *   bhBenchSweep()
@@ -105,10 +97,10 @@ struct Registrar
  */
 #define BH_BENCH_SWEEP_FIGURE(name, title, ref)                                \
     static ::bh::SweepSpec bhBenchSweep();                                     \
-    static void bhBenchRun(::bh::bench::Context &ctx);                         \
+    static void bhBenchRun(::bh::ResultStore &store);                          \
     static ::bh::bench::Registrar bhBenchRegistrar{                            \
         name, title, ref, &bhBenchSweep, &bhBenchRun};                         \
-    static void bhBenchRun([[maybe_unused]] ::bh::bench::Context &ctx)
+    static void bhBenchRun([[maybe_unused]] ::bh::ResultStore &store)
 
 /**
  * Like BH_BENCH_SWEEP_FIGURE, but for beyond-paper scaling studies:
@@ -118,7 +110,7 @@ struct Registrar
  */
 #define BH_BENCH_SWEEP_STUDY(name, title, ref)                                 \
     static ::bh::SweepSpec bhBenchSweep();                                     \
-    static void bhBenchRun(::bh::bench::Context &ctx);                         \
+    static void bhBenchRun(::bh::ResultStore &store);                          \
     static ::bh::bench::Registrar bhBenchRegistrar{                            \
         name, title, ref, &bhBenchSweep, &bhBenchRun, false};                  \
-    static void bhBenchRun([[maybe_unused]] ::bh::bench::Context &ctx)
+    static void bhBenchRun([[maybe_unused]] ::bh::ResultStore &store)

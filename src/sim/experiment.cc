@@ -36,6 +36,23 @@ soloCache()
     return cache;
 }
 
+/**
+ * Fold @p hook into @p cc, reporting progress against @p target
+ * instructions. The heartbeat rides the checkpoint cadence machinery
+ * but is armed independently: snapshots and progress each work alone.
+ */
+void
+armProgress(System::CheckpointConfig *cc, const ProgressHook &hook,
+            std::uint64_t target)
+{
+    if (!hook.enabled())
+        return;
+    cc->progressEveryInsts = hook.everyInsts;
+    cc->onProgress = [fn = hook.fn, target](std::uint64_t retired) {
+        fn(retired, target);
+    };
+}
+
 } // namespace
 
 std::uint64_t
@@ -81,7 +98,7 @@ scaledBreakHammerConfig(std::uint64_t instructions)
 
 double
 soloIpc(const std::string &app_name, std::uint64_t instructions,
-        const SoloSink &sink)
+        const RunOptions &options)
 {
     {
         std::lock_guard<std::mutex> lock(soloMutex());
@@ -98,6 +115,9 @@ soloIpc(const std::string &app_name, std::uint64_t instructions,
     slots[0].appName = app_name;
 
     System system(config, slots);
+    System::CheckpointConfig cc;
+    armProgress(&cc, options.progress, instructions);
+    system.setCheckpoint(cc);
     RunResult result = system.run(instructions, instructions * 150);
     double ipc = result.cores[0].ipc;
 
@@ -107,8 +127,8 @@ soloIpc(const std::string &app_name, std::uint64_t instructions,
     // pure function of (app, insts)) and already went to that worker's
     // sink, which for the runs of one store is the same one.
     if (soloCache().emplace(SoloKey{app_name, instructions}, ipc).second &&
-        sink)
-        sink(app_name, instructions, ipc);
+        options.soloSink)
+        options.soloSink(app_name, instructions, ipc);
     return ipc;
 }
 
@@ -265,7 +285,7 @@ runSampledExperiment(const ExperimentConfig &cfg, const RunOptions &options)
     // workers only ever read the cache.
     std::vector<double> alone;
     for (const std::string &app : benignApps(cfg.mix))
-        alone.push_back(soloIpc(app, insts, options.soloSink));
+        alone.push_back(soloIpc(app, insts, options));
 
     struct WindowOutcome
     {
@@ -612,14 +632,7 @@ runExperiment(const ExperimentConfig &config, const RunOptions &options)
         cc.identity = experimentKey(cfg) + "|store_schema=" +
                       std::to_string(ResultStore::kSchemaVersion);
     }
-    if (hook.enabled()) {
-        // The heartbeat rides the checkpoint cadence machinery but is
-        // armed independently: snapshots and progress each work alone.
-        cc.progressEveryInsts = hook.everyInsts;
-        cc.onProgress = [fn = hook.fn, insts](std::uint64_t retired) {
-            fn(retired, insts);
-        };
-    }
+    armProgress(&cc, hook, insts);
     if (ckpt.enabled() || hook.enabled())
         system->setCheckpoint(cc);
     if (ckpt.enabled()) {
@@ -646,7 +659,7 @@ runExperiment(const ExperimentConfig &config, const RunOptions &options)
     std::vector<double> shared = out.raw.benignIpcs();
     std::vector<double> alone;
     for (const std::string &app : benignApps(cfg.mix))
-        alone.push_back(soloIpc(app, insts, options.soloSink));
+        alone.push_back(soloIpc(app, insts, options));
 
     out.weightedSpeedup = weightedSpeedup(shared, alone);
     out.maxSlowdown = maxSlowdown(shared, alone);

@@ -150,13 +150,6 @@ using SoloSink = std::function<void(const std::string &app,
                                     std::uint64_t insts, double ipc)>;
 
 /**
- * Solo IPC of a catalog app (cached; no mitigation, core alone). The
- * call that computes a value passes it to @p sink.
- */
-double soloIpc(const std::string &app_name, std::uint64_t instructions,
-               const SoloSink &sink = {});
-
-/**
  * Seed the shared solo-IPC cache with a known value (e.g. loaded from a
  * persistent ResultStore) so soloIpc() returns it without simulating.
  * A value already cached for (app, insts) is left untouched.
@@ -191,14 +184,15 @@ struct CheckpointSpec
 
 /**
  * Mid-simulation progress hook. When enabled, an exact runExperiment()
- * simulation invokes @p fn from inside the run loop each time the
- * slowest benign core's retired-instruction count crosses a multiple of
- * everyInsts — observation only, results are bit-identical with or
- * without it. The sweep-service worker (svc/worker.h) uses this to
- * heartbeat its coordinator lease while a long simulation blocks the
- * thread; the fn must therefore be cheap and must not call back into
- * runExperiment(). Sampled runs do not fire it (their window driver
- * owns the loop); lease deadlines must cover them.
+ * simulation and every solo run soloIpc() computes invoke @p fn from
+ * inside the run loop each time the slowest benign core's
+ * retired-instruction count crosses a multiple of everyInsts —
+ * observation only, results are bit-identical with or without it. The
+ * sweep-service worker (svc/worker.h) uses this to heartbeat its
+ * coordinator lease while a long simulation blocks the thread; the fn
+ * must therefore be cheap and must not call back into runExperiment()
+ * or soloIpc(). Sampled measurement windows do not fire it (their
+ * window driver owns the loop); lease deadlines must cover them.
  */
 struct ProgressHook
 {
@@ -214,9 +208,9 @@ struct ProgressHook
 
 /**
  * How experiment points run, passed explicitly to runExperiment(),
- * resolveExperimentConfig(), the ExperimentScheduler and the
- * ResultStore. The default value runs exact, single-channel, on one
- * thread, without checkpoints, progress callbacks or a solo sink.
+ * resolveExperimentConfig(), soloIpc() and the ResultStore. The
+ * default value runs exact, single-channel, on one thread, without
+ * checkpoints, progress callbacks or a solo sink.
  */
 struct RunOptions
 {
@@ -244,6 +238,15 @@ struct RunOptions
     ProgressHook progress;
     SoloSink soloSink;
 };
+
+/**
+ * Solo IPC of a catalog app (cached; no mitigation, core alone). The
+ * call that computes a value passes it to @p options' soloSink and fires
+ * their progress hook while it simulates, so a leased unit whose solo
+ * runs are cold still heartbeats; the other options do not apply.
+ */
+double soloIpc(const std::string &app_name, std::uint64_t instructions,
+               const RunOptions &options = {});
 
 /**
  * @p config with its defaulted fields made explicit: instructions == 0

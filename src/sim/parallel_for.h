@@ -1,7 +1,7 @@
 /**
  * @file
- * Work-stealing parallelFor shared by the experiment scheduler (inter-
- * point parallelism across a grid) and the statistical-sampling driver
+ * Work-stealing parallelFor shared by ResultStore::prefetch (inter-point
+ * parallelism across a grid) and the statistical-sampling driver
  * (intra-point parallelism across measurement windows).
  *
  * Tasks are simulation runs lasting milliseconds to seconds, so a

@@ -9,12 +9,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <thread>
 #include <utility>
 
 #include "common/log.h"
-#include "sim/scheduler.h"
+#include "sim/parallel_for.h"
+#include "sim/sweep.h"
 
 namespace bh {
 
@@ -278,23 +278,19 @@ ResultStore::resolveFromDisk(const std::string &key,
 void
 ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
 {
+    // Content addresses are always over the RESOLVED config (which
+    // expandWorkUnits() keys and dedupes by): keying a defaulted one
+    // would alias every BH_INSTS scale to the same record and serve
+    // wrong-horizon results.
     std::vector<ExperimentConfig> missing;
     {
         std::lock_guard<std::mutex> lock(mutex);
-        std::set<std::string> requested;
-        for (const ExperimentConfig &config : configs) {
-            // Content addresses are always over the RESOLVED config:
-            // keying a defaulted one would alias every BH_INSTS scale to
-            // the same record and serve wrong-horizon results.
-            ExperimentConfig resolved =
-                resolveExperimentConfig(config, options);
+        for (ExperimentConfig &resolved :
+             expandWorkUnits(configs, options)) {
             std::string key = experimentKey(resolved);
-            if (cache.count(key) || !requested.insert(key).second)
+            if (cache.count(key) || resolveFromDisk(key, resolved) != nullptr)
                 continue;
-            if (resolveFromDisk(key, resolved) != nullptr)
-                continue;
-            if (shardCount &&
-                shardOf(key, shardCount) != shardIndex) {
+            if (shardCount && shardOf(key, shardCount) != shardIndex) {
                 ++counters.shardSkipped;
                 continue;
             }
@@ -308,23 +304,29 @@ ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
     BH_LOG("prefetch: %zu points, simulating %zu on %u thread(s)",
            configs.size(), missing.size(), threads);
 
-    SchedulerOptions sched;
-    sched.threads = threads;
-    sched.run = options;
-    // Stream every finished point to disk as workers complete it, so an
-    // interrupted sweep resumes where it stopped instead of restarting.
-    sched.onResult = [this](std::size_t, const ExperimentConfig &config,
-                            const ExperimentResult &result) {
-        appendExperiment(config, result);
-    };
-    ExperimentScheduler scheduler(std::move(sched));
-    std::vector<ExperimentResult> results = scheduler.run(missing);
+    // Warm the weighted-speedup denominators first. Each unique (app,
+    // insts) solo run executes exactly once; without this, workers
+    // holding the same mix would duplicate the run and one result would
+    // be discarded at cache insert.
+    std::vector<std::pair<std::string, std::uint64_t>> deps =
+        soloDependencies(missing);
+    parallelFor(deps.size(), threads, [&](std::size_t i) {
+        soloIpc(deps[i].first, deps[i].second, options);
+    });
 
-    std::lock_guard<std::mutex> lock(mutex);
-    counters.computed += missing.size();
-    for (std::size_t i = 0; i < missing.size(); ++i)
-        cache.emplace(experimentKey(missing[i]),
-                      Entry{missing[i], results[i]});
+    // Every run is seeded from its config alone and lands under its own
+    // key, so the cache is the same whatever the thread count. Each
+    // finished point streams to disk at once, so an interrupted sweep
+    // resumes where it stopped instead of restarting.
+    parallelFor(missing.size(), threads, [&](std::size_t i) {
+        ExperimentResult result = runExperiment(missing[i], options);
+        appendExperiment(missing[i], result);
+        std::string key = experimentKey(missing[i]);
+        std::lock_guard<std::mutex> lock(mutex);
+        ++counters.computed;
+        cache.emplace(std::move(key),
+                      Entry{std::move(missing[i]), std::move(result)});
+    });
 }
 
 const ExperimentResult &

@@ -30,8 +30,8 @@
  * whose content address hashes to shard i of n (1-based), so a grid can
  * be split across machines — each shard writes its own store, and the
  * shards' files are merged by concatenation. Because every run is seeded
- * from its config alone (the scheduler's deterministic per-index
- * seeding), a sharded grid is bit-identical to an unsharded one.
+ * from its config alone, a sharded grid is bit-identical to an
+ * unsharded one.
  *
  * Solo-IPC runs (the weighted-speedup denominators) persist through the
  * same file: open() primes the shared solo cache from "solo" records and
@@ -124,8 +124,10 @@ class ResultStore
 
     /**
      * Resolve every config: disk hits are parsed into the cache, the
-     * rest (minus other shards' points) simulate in parallel on the
-     * ExperimentScheduler, streaming each finished record to disk.
+     * rest (minus other shards' points) simulate in parallel on
+     * threadCount() workers — their solo-IPC denominators first, then
+     * the points — streaming each finished record to disk. The cache
+     * and toJson() are the same for every thread count.
      */
     void prefetch(const std::vector<ExperimentConfig> &configs);
 

@@ -52,10 +52,10 @@ SweepWorker::queueFrame(const JsonValue &msg)
 void
 SweepWorker::computeLoop()
 {
-    // This thread's runs heartbeat the lease they simulate and forward
-    // the solo IPCs they compute. The heartbeat rate limit spans every
-    // lease of the thread: a stream of short units must not send one
-    // heartbeat frame each.
+    // This thread's runs heartbeat the lease they simulate, through its
+    // solo runs too, and forward the solo IPCs they compute. The
+    // heartbeat rate limit spans every lease of the thread: a stream of
+    // short units must not send one heartbeat frame each.
     Lease lease;
     std::uint64_t lastHeartbeatMs = 0;
     RunOptions run;

@@ -13,10 +13,11 @@
  * snapshot instead of starting over.
  *
  * Each compute thread runs its leases with its own RunOptions: the
- * progress hook fires at an instruction cadence and sends a
- * wall-clock-rate-limited heartbeat for the lease being simulated, so
- * the coordinator keeps it alive, and the solo sink forwards the
- * solo-IPC denominators the thread computes as `solo` records.
+ * progress hook fires at an instruction cadence, in the leased
+ * simulation and in any solo-IPC runs its denominators still need, and
+ * sends a wall-clock-rate-limited heartbeat for the lease, so the
+ * coordinator keeps it alive; the solo sink forwards the solo-IPC
+ * denominators the thread computes as `solo` records.
  *
  * One I/O thread owns the socket (the compute threads only append
  * encoded frames to an outbox); frames still queued when the connection

@@ -2,18 +2,22 @@
  * @file
  * Tests for the persistent content-addressed ResultStore
  * (sim/result_store.h): in-memory memoization (the old ExperimentPool
- * contract), cross-process round-trips (write, reload in a fresh store,
+ * contract), results identical at every prefetch thread count,
+ * cross-process round-trips (write, reload in a fresh store,
  * bit-identical JSON), schema-version mismatches triggering recompute
  * rather than corruption, torn-line tolerance, shard-merge equivalence
- * with an unsharded run, and solo-IPC persistence. "Cross-process" is
- * modeled by destroying one store and opening another on the same
- * directory — the disk file is the only state they share.
+ * with an unsharded run, solo-IPC persistence, and golden-value
+ * regressions for the paper's headline metrics on two small fixed
+ * mixes. "Cross-process" is modeled by destroying one store and opening
+ * another on the same directory — the disk file is the only state they
+ * share.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "sim/result_store.h"
 #include "stats/json_stats.h"
@@ -128,6 +132,68 @@ TEST(ResultStoreTest, JsonSortedByKeyAndStable)
     for (std::size_t i = 1; i < arr.size(); ++i)
         EXPECT_LT(arr.at(i - 1).get("key").asString(),
                   arr.at(i).get("key").asString());
+}
+
+TEST(ResultStoreTest, IdenticalResultsAt1And2And8Threads)
+{
+    // A horizon no other test uses: the 8-thread store runs first and
+    // computes every solo denominator itself, in parallel, through the
+    // sink of its backing file.
+    std::vector<ExperimentConfig> grid = testGrid();
+    for (ExperimentConfig &cfg : grid)
+        cfg.instructions = 6007;
+
+    ResultStore wide(8);
+    EXPECT_EQ(wide.threadCount(), 8u);
+    std::string error;
+    ASSERT_TRUE(wide.open(storeDir("threads"), &error)) << error;
+    wide.prefetch(grid);
+    EXPECT_EQ(wide.stats().computed, grid.size());
+    EXPECT_EQ(wide.stats().soloComputed, soloDependencies(grid).size());
+
+    for (unsigned threads : {1u, 2u}) {
+        ResultStore store(threads);
+        EXPECT_EQ(store.threadCount(), threads);
+        store.prefetch(grid);
+        for (const ExperimentConfig &cfg : grid)
+            expectIdentical(wide.get(cfg), store.get(cfg));
+        EXPECT_EQ(store.toJson().dump(), wide.toJson().dump());
+    }
+}
+
+TEST(ResultStoreTest, ExperimentKeyDistinguishesEveryKnob)
+{
+    ExperimentConfig base =
+        smallConfig("HHMA", MitigationType::kGraphene, 512, true);
+    std::set<std::string> keys;
+    keys.insert(experimentKey(base));
+
+    ExperimentConfig c = base;
+    c.nRh = 256;
+    keys.insert(experimentKey(c));
+    c = base;
+    c.mechanism = MitigationType::kPara;
+    keys.insert(experimentKey(c));
+    c = base;
+    c.breakHammer = false;
+    keys.insert(experimentKey(c));
+    c = base;
+    c.bh.window = 123456;
+    keys.insert(experimentKey(c));
+    c = base;
+    c.bh.thThreat = 7.5;
+    keys.insert(experimentKey(c));
+    c = base;
+    c.bluntThrottle = true;
+    keys.insert(experimentKey(c));
+    c = base;
+    c.seed = 99;
+    keys.insert(experimentKey(c));
+    c = base;
+    c.instructions = kInsts + 1;
+    keys.insert(experimentKey(c));
+
+    EXPECT_EQ(keys.size(), 9u);
 }
 
 TEST(ResultStoreTest, DefaultedHorizonResolvesIntoTheContentAddress)
@@ -449,6 +515,39 @@ TEST(ResultStoreTest, SoloIpcRunsPersistAndReload)
     warm.prefetch({cfg});
     EXPECT_EQ(warm.stats().computed, 0u);
     EXPECT_EQ(warm.stats().soloComputed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Golden-value regressions: the headline metrics on two small fixed
+// mixes must not drift silently. Values recorded from the seed
+// implementation at 20000 instructions (see CHANGES.md); any legitimate
+// change to simulator behavior must update them consciously.
+// ---------------------------------------------------------------------
+
+ExperimentResult
+goldenRun(ExperimentConfig cfg)
+{
+    cfg.instructions = 20000;
+    ResultStore store(1);
+    return store.get(cfg);
+}
+
+TEST(GoldenTest, GrapheneWithBreakHammerOnHhmaAttackMix)
+{
+    ExperimentResult r = goldenRun(
+        smallConfig("HHMA", MitigationType::kGraphene, 512, true));
+    EXPECT_NEAR(r.weightedSpeedup, 0.72237629069954734, 1e-9);
+    EXPECT_NEAR(r.maxSlowdown, 5.4407584830339317, 1e-9);
+    EXPECT_EQ(r.preventiveActions, 28u);
+}
+
+TEST(GoldenTest, ParaOnLllaAttackMix)
+{
+    ExperimentResult r = goldenRun(
+        smallConfig("LLLA", MitigationType::kPara, 1024, false));
+    EXPECT_NEAR(r.weightedSpeedup, 0.4050787225408623, 1e-9);
+    EXPECT_NEAR(r.maxSlowdown, 8.7126353790613713, 1e-9);
+    EXPECT_EQ(r.preventiveActions, 87u);
 }
 
 } // namespace

@@ -1185,6 +1185,65 @@ TEST(SnapshotValidationTest, ControllerRejectsRequestsOutsideItsGeometry)
     EXPECT_FALSE(loads(mc, patchU64(blob, row, spec.org.rowsPerBank)));
 }
 
+TEST(SnapshotValidationTest, ControllerRejectsBadInFlightReadState)
+{
+    DramSpec spec = DramSpec::ddr5();
+    AddressMap mapper(spec.org);
+    MemoryController mc(spec, mapper, McConfig{});
+    unsigned completed = 0;
+    mc.onReadComplete = [&](const Request &, Cycle) { ++completed; };
+    // Two reads in different bank groups overlap: when the first one
+    // returns, its slot is free while the second is still in flight.
+    Request first;
+    first.addr = 0x12345640;
+    first.thread = 1;
+    first.token = 0x0123456789abcdefull;
+    Request second = first;
+    DramAddress da = mapper.decode(first.addr);
+    da.bankGroup = (da.bankGroup + 1) % spec.org.bankGroups;
+    second.addr = mapper.encode(da);
+    second.token = 0x0fedcba987654321ull; // Marks it in the blob.
+    mc.enqueueRead(first, 0);
+    mc.enqueueRead(second, 0);
+    for (Cycle now = 0; completed == 0 && now < 100000; ++now)
+        mc.tick(now);
+    ASSERT_EQ(completed, 1u);
+    std::string blob = stateBlob(mc);
+    ASSERT_TRUE(loads(mc, blob));
+
+    // The in-flight reads end with the second one's token and uncached
+    // byte; then come the free slots (u64 count, slot 0) and the
+    // completions (u64 count, readyAt, index 1).
+    auto u64At = [&](std::size_t offset) {
+        StateReader r(blob.substr(offset, 8));
+        std::uint64_t v = 0;
+        r.u64(v);
+        return v;
+    };
+    StateWriter marker;
+    marker.u64(second.token);
+    const std::size_t token = blob.find(marker.data());
+    ASSERT_NE(token, std::string::npos);
+    const std::size_t free_count = token + 8 + 1;
+    const std::size_t free_slot = free_count + 8;
+    const std::size_t ready_count = free_slot + 8;
+    const std::size_t ready_index = ready_count + 8 + 8;
+    ASSERT_EQ(u64At(free_count), 1u);
+    ASSERT_EQ(u64At(free_slot), 0u);
+    ASSERT_EQ(u64At(ready_count), 1u);
+    ASSERT_EQ(u64At(ready_index), 1u);
+
+    // Two reads occupy slots 0 and 1.
+    ASSERT_TRUE(loads(mc, patchU64(blob, free_slot, 1)));
+    EXPECT_FALSE(loads(mc, patchU64(blob, free_slot, 2)));
+    ASSERT_TRUE(loads(mc, patchU64(blob, ready_index, 0)));
+    EXPECT_FALSE(loads(mc, patchU64(blob, ready_index, 2)));
+    // An in-flight request ends ..., row, column, flatBank, thread,
+    // cycle, token.
+    EXPECT_FALSE(
+        loads(mc, patchU64(blob, token - 40, spec.org.rowsPerBank)));
+}
+
 TEST(SnapshotValidationTest, TimingEngineRejectsAFawHeadPastItsWindow)
 {
     DramSpec spec = DramSpec::ddr5();

@@ -1066,6 +1066,46 @@ TEST(SweepServiceTest, WorkerLeavesAnEarlierStoresSoloSinkAlone)
     EXPECT_EQ(solo_lines, unique);
 }
 
+/**
+ * Serve @p cfg as the only unit of a fresh store to one worker that
+ * heartbeats every 500 instructions (at most every 100 ms) against a
+ * @p lease_timeout_ms deadline; the coordinator's final metrics.
+ */
+CoordinatorMetrics
+serveOneUnit(const ExperimentConfig &cfg, std::uint64_t lease_timeout_ms,
+             const std::string &tag)
+{
+    ResultStore store(1);
+    std::string error;
+    if (!store.open(freshDir(tag), &error)) {
+        ADD_FAILURE() << error;
+        return {};
+    }
+    CoordinatorOptions copts;
+    copts.port = 0;
+    copts.leaseTimeoutMs = lease_timeout_ms;
+    SweepCoordinator coordinator(copts, &store, {cfg});
+    if (!coordinator.start(&error)) {
+        ADD_FAILURE() << error;
+        return {};
+    }
+    std::thread serve([&] {
+        std::string serve_error;
+        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
+    });
+    WorkerOptions wopts;
+    wopts.port = coordinator.port();
+    wopts.jobs = 1;
+    wopts.name = tag;
+    wopts.heartbeatEveryInsts = 500;
+    wopts.heartbeatMinIntervalMs = 100;
+    SweepWorker worker(wopts);
+    std::string worker_error;
+    EXPECT_TRUE(worker.run(&worker_error)) << worker_error;
+    serve.join();
+    return coordinator.metrics();
+}
+
 TEST(SweepServiceTest, HeartbeatsKeepALongUnitLeased)
 {
     // One unit simulates for several lease timeouts; the progress hook's
@@ -1078,8 +1118,9 @@ TEST(SweepServiceTest, HeartbeatsKeepALongUnitLeased)
     cfg.mechanism = MitigationType::kPara;
     cfg.nRh = 64;
     cfg.breakHammer = true;
-    // Solo runs do not heartbeat: each horizon's are computed before
-    // anything is timed or leased.
+    // The solo runs are computed before anything is timed or leased, so
+    // this unit's lease spans the main simulation alone
+    // (HeartbeatsCoverColdSoloRuns covers cold ones).
     auto warm_solos = [&] {
         for (const auto &[app, insts] : soloDependencies({cfg}))
             soloIpc(app, insts);
@@ -1097,32 +1138,45 @@ TEST(SweepServiceTest, HeartbeatsKeepALongUnitLeased)
                    20000.0, 4e6));
     warm_solos();
 
-    ResultStore store(1);
-    std::string error;
-    ASSERT_TRUE(store.open(freshDir("heartbeat"), &error)) << error;
-    CoordinatorOptions copts;
-    copts.port = 0;
-    copts.leaseTimeoutMs = kLeaseTimeoutMs;
-    SweepCoordinator coordinator(copts, &store, {cfg});
-    ASSERT_TRUE(coordinator.start(&error)) << error;
-    std::thread serve([&] {
-        std::string serve_error;
-        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
-    });
-    WorkerOptions wopts;
-    wopts.port = coordinator.port();
-    wopts.jobs = 1;
-    wopts.name = "long";
-    wopts.heartbeatEveryInsts = 500;
-    wopts.heartbeatMinIntervalMs = 100;
-    SweepWorker worker(wopts);
-    std::string worker_error;
     t0 = Clock::now();
-    EXPECT_TRUE(worker.run(&worker_error)) << worker_error;
+    CoordinatorMetrics m = serveOneUnit(cfg, kLeaseTimeoutMs, "long");
     double unit_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    serve.join();
+    EXPECT_EQ(m.unitsDone, 1u);
+    EXPECT_EQ(m.leasesExpired, 0u)
+        << cfg.instructions << " insts took " << unit_s << " s";
+}
 
-    CoordinatorMetrics m = coordinator.metrics();
+TEST(SweepServiceTest, HeartbeatsCoverColdSoloRuns)
+{
+    // A unit whose solo-IPC denominators are not cached runs them after
+    // its main simulation, still under its lease. Sized so the solo
+    // runs alone last about three lease timeouts, the unit keeps its
+    // lease only if they heartbeat too.
+    using Clock = std::chrono::steady_clock;
+    const std::uint64_t kLeaseTimeoutMs = 1000;
+    const std::uint64_t kProbeInsts = 200003; // Unused by any other test.
+    // Low-intensity apps: the main simulation costs little more than
+    // their solo runs, which keeps the test short.
+    ExperimentConfig cfg;
+    cfg.mix = makeMix("LLLL", 0);
+    cfg.mechanism = MitigationType::kNone;
+    std::vector<std::string> apps = benignApps(cfg.mix);
+    std::set<std::string> unique(apps.begin(), apps.end());
+    Clock::time_point t0 = Clock::now();
+    for (const std::string &app : unique)
+        soloIpc(app, kProbeInsts);
+    double probe_s = std::chrono::duration<double>(Clock::now() - t0).count();
+    // Solo time grows linearly with the horizon. The odd remainder
+    // keeps the horizon apart from every other test's, so the unit's
+    // solos are cold in this process.
+    double insts = std::clamp(3.0 * kLeaseTimeoutMs / 1000.0 / probe_s *
+                                  kProbeInsts,
+                              2.0 * kProbeInsts, 1e8);
+    cfg.instructions = static_cast<std::uint64_t>(insts) / 1000 * 1000 + 313;
+
+    t0 = Clock::now();
+    CoordinatorMetrics m = serveOneUnit(cfg, kLeaseTimeoutMs, "cold-solo");
+    double unit_s = std::chrono::duration<double>(Clock::now() - t0).count();
     EXPECT_EQ(m.unitsDone, 1u);
     EXPECT_EQ(m.leasesExpired, 0u)
         << cfg.instructions << " insts took " << unit_s << " s";

@@ -3,8 +3,8 @@
  * Cycle-skip equivalence tests: System::run's event-driven skip-ahead
  * loop must be a pure reordering of when work is simulated, never of what
  * happens. The dense cycle-by-cycle reference loop is kept behind the
- * BH_DENSE_TICK=1 environment flag; for several mixes the ResultLog JSON
- * produced by both loops must be byte-identical, and the raw run results
+ * BH_DENSE_TICK=1 environment flag; for several mixes the ResultStore
+ * JSON produced by both loops must be byte-identical, and the raw run results
  * (including the stall counters the skip loop accounts in batches) must
  * match field by field.
  */
@@ -14,8 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/scheduler.h"
-#include "stats/result_log.h"
+#include "sim/result_store.h"
 
 namespace bh {
 namespace {
@@ -78,23 +77,19 @@ skipGrid()
 }
 
 std::string
-runLogJson(const std::vector<ExperimentConfig> &grid, bool dense)
+runStoreJson(const std::vector<ExperimentConfig> &grid, bool dense)
 {
     DenseTickGuard guard(dense);
-    ResultLog log;
-    SchedulerOptions options;
-    options.threads = 1;
-    options.log = &log;
-    ExperimentScheduler scheduler(options);
-    scheduler.run(grid);
-    return log.toJson().dump(2);
+    ResultStore store(1);
+    store.prefetch(grid);
+    return store.toJson().dump(2);
 }
 
-TEST(SystemSkipTest, ResultLogJsonByteIdenticalToDenseTick)
+TEST(SystemSkipTest, StoreJsonByteIdenticalToDenseTick)
 {
     std::vector<ExperimentConfig> grid = skipGrid();
-    std::string event_json = runLogJson(grid, false);
-    std::string dense_json = runLogJson(grid, true);
+    std::string event_json = runStoreJson(grid, false);
+    std::string dense_json = runStoreJson(grid, true);
     EXPECT_EQ(event_json, dense_json);
 }
 
