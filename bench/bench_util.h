@@ -4,7 +4,7 @@
  *
  * Every bench prints the same rows/series the paper's figure reports,
  * scaled by BH_INSTS / BH_MIXES / BH_FULL (see sim/experiment.h). Results
- * are raw text tables so diffs against EXPERIMENTS.md stay reviewable.
+ * are raw text tables so diffs against docs/REPRODUCING.md stay reviewable.
  *
  * Figures declare their grid as a SweepSpec (sim/sweep.h); the runner
  * prefetches it through the shared ResultStore (parallel at --jobs=N,

@@ -32,6 +32,7 @@ void
 MemoryController::setMitigation(IMitigation *m)
 {
     mitigation = m;
+    idleUntil_ = 0;
     if (m != nullptr)
         m->setHost(this);
 }
@@ -46,6 +47,7 @@ MemoryController::enqueueRead(Request req, Cycle now)
     req.enqueueCycle = now;
     readQ.push(req);
     invalidateScan(true, req.flatBank);
+    lowerIdleBound(readQ, true, req.flatBank, now);
 }
 
 void
@@ -58,6 +60,7 @@ MemoryController::enqueueWrite(Request req, Cycle now)
     req.enqueueCycle = now;
     writeQ.push(req);
     invalidateScan(false, req.flatBank);
+    lowerIdleBound(writeQ, false, req.flatBank, now);
 }
 
 // --- Scan-cache maintenance -------------------------------------------
@@ -542,6 +545,7 @@ MemoryController::beginFastForward()
     completions = decltype(completions)();
     std::fill(hitStreak.begin(), hitStreak.end(), 0u);
     invalidateAllRowState();
+    idleUntil_ = 0;
 }
 
 void
@@ -566,6 +570,7 @@ MemoryController::fastForwardTo(Cycle to)
     if (mitigation != nullptr)
         mitigation->advanceTo(to);
     lastSeenCycle = to;
+    idleUntil_ = 0;
 }
 
 bool
@@ -584,10 +589,19 @@ MemoryController::serviceDemand(Cycle now)
     return !writeQ.empty() && tryIssueForQueue(writeQ, false, now);
 }
 
-void
-MemoryController::tick(Cycle now)
+MemoryController::TickKind
+MemoryController::tick(Cycle now, bool gate)
 {
     lastSeenCycle = now;
+    if (gate && now < idleUntil_) {
+        // The bound proves a full tick would issue nothing, fire no
+        // completion and roll no mitigation state; what remains is
+        // serviceDemand()'s drain-flag step behind the slot gate.
+        if (commandSlotFree(now))
+            drainingWrites = stepDrainFlag(drainingWrites);
+        return TickKind::kGated;
+    }
+    idleUntil_ = 0;
     // Roll time-based mitigation state (epoch boundaries) before any
     // scheduling decision — and before the command-slot gate, exactly as
     // a dense per-cycle loop would reach this point every cycle. The
@@ -597,13 +611,12 @@ MemoryController::tick(Cycle now)
     if (mitigation != nullptr)
         mitigation->advanceTo(now);
     processCompletions(now);
-    if (!commandSlotFree(now))
-        return;
-    if (serviceRefresh(now))
-        return;
-    if (serviceMaintenance(now))
-        return;
-    serviceDemand(now);
+    if (!commandSlotFree(now) || serviceRefresh(now) ||
+        serviceMaintenance(now) || serviceDemand(now) || !gate)
+        return TickKind::kFull;
+    // Nothing issued, so nothing happens before the next event.
+    idleUntil_ = nextEventCycle(now);
+    return TickKind::kIdle;
 }
 
 // --- Snapshot serialization --------------------------------------------
@@ -671,6 +684,7 @@ MemoryController::transfer(Ar &ar, Self &self)
         self.maintOpsPending_ = 0;
         for (const auto &q : self.maintQ)
             self.maintOpsPending_ += q.size();
+        self.idleUntil_ = 0; // A cache of the state just replaced.
         // The scan caches are pure accelerations of scanOf(); recompute
         // lazily rather than serializing them.
         for (BankScan &scan : self.readScan)
@@ -708,61 +722,82 @@ Cycle
 MemoryController::demandEventCycle(const BankedRequestQueue &queue,
                                    bool is_read, Cycle now) const
 {
-    DramCommand col_cmd = is_read ? DramCommand::kRead : DramCommand::kWrite;
-    bool delays = mitigation != nullptr && mitigation->delaysActs();
     Cycle at = kNeverCycle;
-    for (unsigned fb : queue.activeBanks()) {
-        // Banks gated by maintenance or refresh wake through those paths'
-        // own events (computed in nextEventCycle), not through demand.
-        if (!maintQ[fb].empty())
-            continue;
-        if (rankHasRefreshPending(engine_.rankOf(fb), now))
-            continue;
-        const BankState &bank = engine_.bank(fb);
-        if (!bank.open) {
-            Cycle issue_at =
-                engine_.earliestIssue(DramCommand::kAct, fb, now);
-            if (delays) {
-                // Mitigation row delays (BlockHammer) postpone the ACT
-                // beyond the bank timing: the bank's next chance is the
-                // earliest release among its queued rows. Probes are
-                // const and already account for the epoch boundary
-                // clearing every delay, so this stays a valid lower
-                // bound; delays added by *future* commits only move the
-                // true event later, making an early wake a harmless
-                // no-op tick.
-                Cycle release = kNeverCycle;
-                for (const QueuedRequest &qr : queue.bank(fb)) {
-                    Cycle r = mitigation->probeActReleaseCycle(
-                        fb, qr.req.da.row, qr.req.thread, now);
-                    if (r <= now) {
-                        release = now;
-                        break;
-                    }
-                    release = std::min(release, r);
-                }
-                issue_at = std::max(issue_at, release);
-            }
-            at = std::min(at, issue_at);
-            continue;
-        }
-        const BankScan &scan = scanOf(is_read, fb);
-        bool hit_capped =
-            scan.hitPos != kNoPos && scan.hitPos > 0 &&
-            hitStreak[fb] >= config_.frfcfsCap;
-        if (scan.hitPos != kNoPos && !hit_capped)
-            at = std::min(at, engine_.earliestIssue(col_cmd, fb, now));
-        if (scan.confPos != kNoPos &&
-            (scan.hitPos == kNoPos || hitStreak[fb] >= config_.frfcfsCap))
-            at = std::min(at,
-                          engine_.earliestIssue(DramCommand::kPre, fb, now));
-    }
+    for (unsigned fb : queue.activeBanks())
+        at = std::min(at, bankDemandEventCycle(queue, is_read, fb, now));
     return at;
+}
+
+Cycle
+MemoryController::bankDemandEventCycle(const BankedRequestQueue &queue,
+                                       bool is_read, unsigned fb,
+                                       Cycle now) const
+{
+    // Banks gated by maintenance or refresh wake through those paths'
+    // own events (computed in nextEventCycle), not through demand.
+    if (!maintQ[fb].empty())
+        return kNeverCycle;
+    if (rankHasRefreshPending(engine_.rankOf(fb), now))
+        return kNeverCycle;
+    const BankState &bank = engine_.bank(fb);
+    if (!bank.open) {
+        Cycle issue_at = engine_.earliestIssue(DramCommand::kAct, fb, now);
+        if (mitigation != nullptr && mitigation->delaysActs()) {
+            // Mitigation row delays (BlockHammer) postpone the ACT beyond
+            // the bank timing: the bank's next chance is the earliest
+            // release among its queued rows. Probes are const and already
+            // account for the epoch boundary clearing every delay, so
+            // this stays a valid lower bound; delays added by *future*
+            // commits only move the true event later, making an early
+            // wake a harmless no-op tick.
+            Cycle release = kNeverCycle;
+            for (const QueuedRequest &qr : queue.bank(fb)) {
+                Cycle r = mitigation->probeActReleaseCycle(
+                    fb, qr.req.da.row, qr.req.thread, now);
+                if (r <= now) {
+                    release = now;
+                    break;
+                }
+                release = std::min(release, r);
+            }
+            issue_at = std::max(issue_at, release);
+        }
+        return issue_at;
+    }
+    Cycle at = kNeverCycle;
+    const BankScan &scan = scanOf(is_read, fb);
+    bool hit_capped = scan.hitPos != kNoPos && scan.hitPos > 0 &&
+                      hitStreak[fb] >= config_.frfcfsCap;
+    if (scan.hitPos != kNoPos && !hit_capped) {
+        DramCommand col_cmd =
+            is_read ? DramCommand::kRead : DramCommand::kWrite;
+        at = engine_.earliestIssue(col_cmd, fb, now);
+    }
+    if (scan.confPos != kNoPos &&
+        (scan.hitPos == kNoPos || hitStreak[fb] >= config_.frfcfsCap))
+        at = std::min(at, engine_.earliestIssue(DramCommand::kPre, fb, now));
+    return at;
+}
+
+void
+MemoryController::lowerIdleBound(const BankedRequestQueue &queue,
+                                 bool is_read, unsigned fb, Cycle now)
+{
+    // Only bank fb's scan changed, so its demand event joins the other
+    // terms of the cached bound; like every command it waits for the
+    // command slot.
+    if (now >= idleUntil_)
+        return;
+    Cycle at = bankDemandEventCycle(queue, is_read, fb, now);
+    if (at != kNeverCycle)
+        idleUntil_ = std::min(idleUntil_, std::max(at, nextCommandAt));
 }
 
 Cycle
 MemoryController::nextEventCycle(Cycle now) const
 {
+    if (now < idleUntil_)
+        return idleUntil_;
     // Read completions fire before the command-slot gate in tick().
     Cycle completion_at =
         completions.empty() ? kNeverCycle : completions.top().readyAt;

@@ -30,6 +30,18 @@
  * nextEventCycle() exposes a conservative lower bound on the next cycle
  * tick() can do anything, which System::run's skip-ahead loop uses to jump
  * over dead cycles.
+ *
+ * The same bound gates tick() itself. After a tick in which refresh,
+ * maintenance and demand all issue nothing, the controller keeps
+ * nextEventCycle(now) as an idle bound: until that cycle, tick() only
+ * does what a no-op full tick would (stamp lastSeenCycle, step the
+ * write-drain flag when the command slot is free) and nextEventCycle()
+ * answers from the bound, so a controller with nothing to issue skips its
+ * bank rescans while the cores keep the run loop busy. An enqueue lowers
+ * the bound to the touched bank's own demand-event cycle; any other state
+ * change (an issued command, setMitigation(), beginFastForward(),
+ * fastForwardTo(), loadState()) drops it. The bound is a cache: it is
+ * never serialized, and dropping it only costs a rescan.
  */
 #pragma once
 
@@ -212,8 +224,20 @@ class MemoryController : public IMitigationHost
     /** Enqueue a write; @pre canEnqueueWrite(). */
     void enqueueWrite(Request req, Cycle now);
 
-    /** Advance one CPU cycle. */
-    void tick(Cycle now);
+    /** What one tick() did (the run loop's work counters). */
+    enum class TickKind
+    {
+        kGated,  ///< Before the idle bound: the no-op bookkeeping only.
+        kFull,   ///< Ran the tick pipeline.
+        kIdle,   ///< Ran the pipeline, issued nothing, cached a new bound.
+    };
+
+    /**
+     * Advance one CPU cycle. With @p gate false (the dense reference
+     * loop) the tick always runs the full pipeline and keeps no idle
+     * bound.
+     */
+    TickKind tick(Cycle now, bool gate = true);
 
     /**
      * Lower bound > @p now on the next cycle tick() can do anything
@@ -221,6 +245,7 @@ class MemoryController : public IMitigationHost
      * refresh), assuming no new requests arrive in between. Waking up
      * earlier than the true next action is harmless (the tick is a no-op,
      * exactly as a dense tick would be); waking later never happens.
+     * Before the idle bound this is the bound itself.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -376,6 +401,12 @@ class MemoryController : public IMitigationHost
 
     Cycle demandEventCycle(const BankedRequestQueue &queue, bool is_read,
                            Cycle now) const;
+    /** Bank @p fb's share of demandEventCycle() (one queue). */
+    Cycle bankDemandEventCycle(const BankedRequestQueue &queue,
+                               bool is_read, unsigned fb, Cycle now) const;
+    /** Lower the idle bound for a request just queued on bank @p fb. */
+    void lowerIdleBound(const BankedRequestQueue &queue, bool is_read,
+                        unsigned fb, Cycle now);
 
     const DramSpec spec_;
     const AddressMap &mapper;
@@ -414,6 +445,12 @@ class MemoryController : public IMitigationHost
 
     Cycle nextCommandAt = 0;
     Cycle lastSeenCycle = 0;
+    /**
+     * Idle bound: no tick before this cycle can issue a command, fire a
+     * completion or roll mitigation state (0 = none). Never serialized;
+     * loadState() drops it.
+     */
+    Cycle idleUntil_ = 0;
 
     std::uint64_t preventiveActions_ = 0;
     std::uint64_t demandActs_ = 0;

@@ -23,7 +23,9 @@
  *  - `commitAct()` mutates tracking state and fires only when the
  *    controller actually issues the ACT;
  *  - `advanceTo()` rolls purely time-based state (epoch rollovers, quota
- *    resets) and is called once per controller tick, before scheduling;
+ *    resets) and is called once per full controller tick, before
+ *    scheduling (a tick gated by the controller's idle bound, which lies
+ *    at or before nextTimedEventCycle(), skips it);
  *  - `nextTimedEventCycle()` exposes the next cycle at which that
  *    time-based state changes, so the skip-ahead loop never jumps past a
  *    throttling decision.
@@ -158,7 +160,7 @@ class IMitigation
     /**
      * Roll purely time-based state (epoch rollovers, per-epoch quota
      * resets) forward to @p now. The controller calls this once at the
-     * top of every tick, before any scheduling decision; it must be
+     * top of every full tick, before any scheduling decision; it must be
      * idempotent within a cycle and depend only on @p now, never on how
      * often it was called on the way there.
      */

@@ -60,7 +60,7 @@ defaultInstructions()
 {
     // The paper simulates 100M instructions per benign core; the default
     // here is scaled down for laptop-speed regeneration of every figure
-    // (EXPERIMENTS.md records the scale used). Override with BH_INSTS.
+    // (docs/REPRODUCING.md records the scale used). Override with BH_INSTS.
     return envU64("BH_INSTS", 100000);
 }
 

@@ -373,9 +373,7 @@ System::fillRejectSnapshot(RejectSnapshot *snap) const
 Cycle
 System::nextWakeCycle() const
 {
-    Cycle wake = mcs[0]->nextEventCycle(now);
-    for (std::size_t ch = 1; ch < mcs.size(); ++ch)
-        wake = std::min(wake, mcs[ch]->nextEventCycle(now));
+    Cycle wake = kNeverCycle;
     for (const auto &core : cores)
         wake = std::min(wake, core->nextEventCycle(now));
     if (bh) {
@@ -386,6 +384,9 @@ System::nextWakeCycle() const
         Cycle at = std::max(now + 1, bh->nextWindowBoundary());
         wake = std::min(wake, nextRollCycleAtOrAfter(at));
     }
+    // The controllers are the costly queries; no answer beats now + 1.
+    for (std::size_t ch = 0; ch < mcs.size() && wake > now + 1; ++ch)
+        wake = std::min(wake, mcs[ch]->nextEventCycle(now));
     return std::max(wake, now + 1);
 }
 
@@ -448,11 +449,12 @@ System::runDelta(std::uint64_t delta_insts, Cycle max_extra_cycles)
 RunResult
 System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
 {
-    // Reference mode: tick every cycle. The event-driven loop below must
-    // match it bit for bit (test_system_skip compares both). ACT-delaying
-    // mechanisms (BlockHammer) ride the event loop too: scheduler probes
-    // are const, epoch state rolls in IMitigation::advanceTo() at the top
-    // of every controller tick, and the controller's wake set includes
+    // Reference mode: tick every cycle, every controller in full (no
+    // idle gate). The event-driven loop below must match it bit for bit
+    // (test_system_skip compares both). ACT-delaying mechanisms
+    // (BlockHammer) ride the event loop too: scheduler probes are const,
+    // epoch state rolls in IMitigation::advanceTo() at the top of every
+    // full controller tick, and the controller's wake set includes
     // the mechanism's next release/epoch-boundary cycle.
     const bool dense = envFlag("BH_DENSE_TICK");
 
@@ -491,7 +493,9 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
                          checkpoint_.progressEveryInsts
                    : 0;
 
+    LoopWork work;
     while (now < max_cycles) {
+        ++work.iterations;
         if (ckpt_armed) {
             // Top-of-iteration is the one place a snapshot can cut the
             // loop: nothing at cycle `now` has run yet, so resume re-
@@ -532,8 +536,12 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             if (core->benign() && !core->reachedTarget())
                 all_done = false;
         }
-        for (auto &mc : mcs)
-            mc->tick(now);
+        for (auto &mc : mcs) {
+            MemoryController::TickKind kind = mc->tick(now, !dense);
+            work.gatedTicks += kind == MemoryController::TickKind::kGated;
+            work.boundRecomputes += kind == MemoryController::TickKind::kIdle;
+        }
+        work.controllerTicks += mcs.size();
         if (bh && isRollCycle(now))
             bh->rollWindows(now);
         if (all_done)
@@ -577,6 +585,7 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
     RunResult result;
     result.cycles = now;
     result.hitCycleCap = now >= max_cycles;
+    result.work = work;
     // Aggregate over channels: energies and action counts sum (each
     // channel's background term covers that channel's own ranks).
     for (const auto &mc : mcs) {

@@ -91,6 +91,19 @@ struct CoreResult
     std::uint64_t rejectStalls = 0;
 };
 
+/**
+ * Host-side work of one run loop, counted from its entry (a resumed run
+ * counts from the resume point). Deterministic, but not simulation
+ * output: kept out of the JSON export, content keys and snapshots.
+ */
+struct LoopWork
+{
+    std::uint64_t iterations = 0;      ///< Simulated cycles (loop passes).
+    std::uint64_t controllerTicks = 0; ///< MemoryController::tick() calls,
+    std::uint64_t gatedTicks = 0;      ///< ... of them behind an idle bound,
+    std::uint64_t boundRecomputes = 0; ///< ... of them caching a new bound.
+};
+
 /** Outcome of one simulation. */
 struct RunResult
 {
@@ -122,6 +135,7 @@ struct RunResult
     Histogram benignReadLatencyNs{2.0, 4096};
     std::vector<RowCensus::WindowSummary> censusWindows;
     bool hitCycleCap = false;
+    LoopWork work;
 
     /** IPC of benign cores, in slot order. */
     std::vector<double> benignIpcs() const;
@@ -260,9 +274,12 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      * can make progress (core retire, controller issue slot or
      * completion, refresh deadline, BreakHammer window boundary) and
      * jumps there, batching the stall accounting of reject-blocked cores
-     * across the skipped dead cycles. Setting BH_DENSE_TICK=1 in the
-     * environment selects the reference cycle-by-cycle loop instead; both
-     * produce bit-identical results (test_system_skip enforces this).
+     * across the skipped dead cycles; on the cycles it does simulate, a
+     * controller with nothing to issue skips its rescans behind its idle
+     * bound. Setting BH_DENSE_TICK=1 in the environment selects the
+     * reference cycle-by-cycle loop instead, which ticks every controller
+     * in full; both produce bit-identical results (test_system_skip
+     * enforces this).
      */
     RunResult run(std::uint64_t benign_target, Cycle max_cycles);
 

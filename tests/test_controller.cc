@@ -1,12 +1,14 @@
 /**
  * @file
- * Unit tests for src/mem: scheduling, refresh, maintenance operations, and
- * the mitigation/observer hook points.
+ * Unit tests for src/mem: scheduling, refresh, maintenance operations, the
+ * mitigation/observer hook points, and the idle gate.
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "dram/address.h"
 #include "mem/controller.h"
 
@@ -285,6 +287,63 @@ TEST_F(ControllerFixture, QueueCapacityChecks)
     small.enqueueRead(readReq(addrOf(1)), 0);
     small.enqueueRead(readReq(addrOf(2)), 0);
     EXPECT_FALSE(small.canEnqueueRead());
+}
+
+TEST(ControllerIdleGateTest, GatedTicksLeaveTheStateOfFullTicks)
+{
+    // Two controllers see the same requests at the same cycles: one
+    // ticks behind its idle bound, the other ticks in full every cycle.
+    // Their serialized state must agree after every cycle. Sparse,
+    // write-heavy traffic on a few banks leaves the read queue empty with
+    // a few writes pending, where the drain flag flips on every free
+    // command slot, so a gated tick that skipped its step would show.
+    DramSpec spec = DramSpec::ddr5();
+    AddressMap map(spec.org);
+    MemoryController gated(spec, map, McConfig{});
+    MemoryController full(spec, map, McConfig{});
+    std::vector<Cycle> gated_done, full_done;
+    gated.onReadComplete = [&](const Request &, Cycle c) {
+        gated_done.push_back(c);
+    };
+    full.onReadComplete = [&](const Request &, Cycle c) {
+        full_done.push_back(c);
+    };
+    auto state = [](const MemoryController &mc) {
+        StateWriter w;
+        mc.saveState(w);
+        return w.data();
+    };
+
+    Rng rng(16);
+    std::uint64_t gated_ticks = 0;
+    for (Cycle now = 0; now < 40000; ++now) {
+        if (rng.nextBounded(100) < 1) {
+            DramAddress da;
+            da.bankGroup = static_cast<unsigned>(rng.nextBounded(4));
+            da.bank = static_cast<unsigned>(rng.nextBounded(2));
+            da.row = static_cast<unsigned>(rng.nextBounded(6));
+            da.column = static_cast<unsigned>(rng.nextBounded(4));
+            Request r;
+            r.addr = map.encode(da);
+            if (rng.nextBounded(10) < 7) {
+                r.type = Request::Type::kWrite;
+                if (gated.canEnqueueWrite()) {
+                    gated.enqueueWrite(r, now);
+                    full.enqueueWrite(r, now);
+                }
+            } else if (gated.canEnqueueRead()) {
+                gated.enqueueRead(r, now);
+                full.enqueueRead(r, now);
+            }
+        }
+        gated_ticks +=
+            gated.tick(now) == MemoryController::TickKind::kGated;
+        full.tick(now, false);
+        ASSERT_TRUE(state(gated) == state(full)) << "cycle " << now;
+    }
+    EXPECT_EQ(gated_done, full_done);
+    EXPECT_GT(full_done.size(), 100u);
+    EXPECT_GT(gated_ticks, 10000u);
 }
 
 } // namespace

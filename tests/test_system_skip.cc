@@ -59,13 +59,20 @@ mixConfig(const char *pattern, MitigationType mech, unsigned n_rh,
  *  window. A sixth regime runs the adversarial engine: a red-team probe
  *  whose rotating adaptive attackers observe their own throttling —
  *  adaptation decisions are counted in emitted records, so the decision
- *  sequence (and thus every result byte) must survive the reordering. */
+ *  sequence (and thus every result byte) must survive the reordering.
+ *  The last three regimes are where the controllers' idle gate acts
+ *  most: a 4-channel benign mix (four controllers, mostly idle, while
+ *  the cores keep the loop busy), AQUA (row-migration blackouts) and
+ *  RFM (per-bank RFM maintenance). */
 std::vector<ExperimentConfig>
 skipGrid()
 {
     ExperimentConfig redteam =
         mixConfig("MMAA", MitigationType::kPara, 512, true);
     redteam.redteam = "pat=double,obs=32,bub=64,grp=2,ho=256";
+    ExperimentConfig four_channel =
+        mixConfig("HHMM", MitigationType::kPara, 1024, true);
+    four_channel.channels = 4;
     return {
         mixConfig("HHMM", MitigationType::kHydra, 512, false),
         mixConfig("HHMA", MitigationType::kGraphene, 512, true),
@@ -73,6 +80,9 @@ skipGrid()
         mixConfig("HHMA", MitigationType::kBlockHammer, 512, false),
         mixConfig("LLLA", MitigationType::kBlockHammer, 128, false),
         redteam,
+        four_channel,
+        mixConfig("HHMA", MitigationType::kAqua, 256, true),
+        mixConfig("LLLA", MitigationType::kRfm, 256, true),
     };
 }
 
@@ -129,6 +139,34 @@ TEST(SystemSkipTest, RawRunResultsMatchDenseTickFieldByField)
         EXPECT_TRUE(event_r.raw.benignReadLatencyNs ==
                     dense_r.raw.benignReadLatencyNs);
     }
+}
+
+TEST(SystemSkipTest, IdleGateSkipsMostControllerTicksDeterministically)
+{
+    // Four controllers share the memory traffic of a benign mix, so each
+    // sits idle through most of the cycles the cores keep simulated.
+    ExperimentConfig cfg =
+        mixConfig("HHMM", MitigationType::kPara, 1024, true);
+    RunOptions opts;
+    opts.channels = 4;
+    LoopWork first = runExperiment(cfg, opts).raw.work;
+    LoopWork second = runExperiment(cfg, opts).raw.work;
+
+    EXPECT_EQ(first.controllerTicks, 4 * first.iterations);
+    EXPECT_GT(first.gatedTicks, first.controllerTicks / 2);
+    EXPECT_GT(first.boundRecomputes, 0u);
+    EXPECT_EQ(first.iterations, second.iterations);
+    EXPECT_EQ(first.controllerTicks, second.controllerTicks);
+    EXPECT_EQ(first.gatedTicks, second.gatedTicks);
+    EXPECT_EQ(first.boundRecomputes, second.boundRecomputes);
+
+    // The dense reference ticks every controller in full.
+    DenseTickGuard guard(true);
+    LoopWork dense = runExperiment(cfg, opts).raw.work;
+    EXPECT_EQ(dense.controllerTicks, 4 * dense.iterations);
+    EXPECT_EQ(dense.gatedTicks, 0u);
+    EXPECT_EQ(dense.boundRecomputes, 0u);
+    EXPECT_GT(dense.iterations, first.iterations);
 }
 
 TEST(SystemSkipTest, SkipLoopIsNotSlowerInCycleCount)
