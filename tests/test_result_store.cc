@@ -19,8 +19,11 @@
 #include <fstream>
 #include <set>
 
+#include "common/snapshot.h"
+#include "sim/redteam.h"
 #include "sim/result_store.h"
 #include "stats/json_stats.h"
+#include "svc/protocol.h"
 
 namespace bh {
 namespace {
@@ -281,6 +284,73 @@ TEST(ResultStoreTest, FromJsonRejectsOlderSchemaLayouts)
     ExperimentResult out;
     EXPECT_FALSE(experimentResultFromJson(stripped, &out));
     EXPECT_TRUE(experimentResultFromJson(doc, &out));
+}
+
+/** FNV-1a 64 of @p v's compact dump: the exported and stored bytes. */
+std::uint64_t
+dumpDigest(const JsonValue &v)
+{
+    std::string bytes = v.dump();
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+// The record and lease codecs are pinned byte for byte: one record of
+// each optional shape (exact, sampled, red-team, 4-channel) and one
+// config that spells out every wire field. A digest that moves means
+// stored records or leases changed layout, which needs a schema or
+// protocol version bump, not a new digest.
+TEST(CodecGoldenTest, RecordAndConfigBytesArePinned)
+{
+    const std::string rt_spec = "pat=half,obs=32,bub=128,grp=2,ho=500";
+
+    ExperimentConfig exact =
+        smallConfig("HHMA", MitigationType::kGraphene, 512, true);
+    ExperimentConfig sampled =
+        smallConfig("LLLA", MitigationType::kPara, 1024, true);
+    sampled.sample = SamplingSpec{500, 500, 1500};
+    ExperimentConfig redteam =
+        smallConfig("HHMA", MitigationType::kHydra, 256, true);
+    redteam.redteam = rt_spec;
+    ExperimentConfig four_ch =
+        smallConfig("HHMM", MitigationType::kPrac, 1024, true);
+    four_ch.channels = 4;
+
+    struct Case
+    {
+        ExperimentConfig config;
+        const char *block; ///< Optional block the record must carry.
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {exact, nullptr, 0xc801dc075d6d1b25ull},
+        {sampled, "sampling", 0x7f50c42082e8e072ull},
+        {redteam, "redteam", 0x882c8a225e254621ull},
+        {four_ch, nullptr, 0x77c7db8f5fdc5bd0ull},
+    };
+    for (const Case &c : cases) {
+        ExperimentConfig resolved = resolveExperimentConfig(c.config);
+        JsonValue doc =
+            experimentResultToJson(resolved, runExperiment(resolved));
+        if (c.block != nullptr) {
+            EXPECT_NE(doc.find(c.block), nullptr) << experimentKey(resolved);
+        }
+        EXPECT_EQ(dumpDigest(doc), c.digest) << experimentKey(resolved);
+    }
+    EXPECT_NE(experimentKey(resolveExperimentConfig(redteam)).find("|rt="),
+              std::string::npos);
+    EXPECT_NE(experimentKey(resolveExperimentConfig(four_ch)).find("|ch=4"),
+              std::string::npos);
+
+    // A lease config with adaptive-attacker slots, a sampling spec and
+    // a red-team spec: every slot, BreakHammer and sampling field.
+    ExperimentConfig lease = redteam;
+    lease.sample = SamplingSpec{500, 500, 1500};
+    RedteamStrategy strategy;
+    ASSERT_TRUE(parseRedteamStrategy(rt_spec, &strategy));
+    applyRedteamStrategy(strategy, &lease.mix.slots);
+    lease = resolveExperimentConfig(lease);
+    EXPECT_EQ(dumpDigest(svc::experimentConfigToJson(lease)),
+              0x1f1353422f9e81a5ull);
 }
 
 // ---------------------------------------------------------------------
