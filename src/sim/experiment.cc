@@ -13,7 +13,7 @@
 #include "sim/parallel_for.h"
 #include "sim/redteam.h"
 #include "sim/result_store.h"
-#include "stats/json_stats.h"
+#include "stats/json_archive.h"
 #include "stats/metrics.h"
 
 namespace bh {
@@ -744,322 +744,113 @@ soloDependencies(const std::vector<ExperimentConfig> &configs)
     return deps;
 }
 
-JsonValue
-experimentResultToJson(const ExperimentConfig &config,
-                       const ExperimentResult &result)
+template <class Ar, class Self>
+void
+ExperimentResult::transfer(Ar &ar, Self &self,
+                           const ExperimentConfig &config)
 {
-    JsonValue out = JsonValue::object();
-    out.set("key", experimentKey(config));
-    out.set("mix", config.mix.name);
-    out.set("mechanism", mitigationName(config.mechanism));
-    out.set("nrh", config.nRh);
-    out.set("breakhammer", config.breakHammer);
+    ar.derived("key", [&] { return experimentKey(config); });
+    ar.derived("mix", [&] { return config.mix.name; });
+    ar.derived("mechanism", [&] { return mitigationName(config.mechanism); });
+    ar.derived("nrh", [&] { return config.nRh; });
+    ar.derived("breakhammer", [&] { return config.breakHammer; });
 
-    out.set("weighted_speedup", result.weightedSpeedup);
-    out.set("max_slowdown", result.maxSlowdown);
-    out.set("energy_nj", result.energyNj);
-    out.set("preventive_actions", result.preventiveActions);
+    ar.d("weighted_speedup", self.weightedSpeedup);
+    ar.d("max_slowdown", self.maxSlowdown);
+    ar.d("energy_nj", self.energyNj);
+    ar.u64("preventive_actions", self.preventiveActions);
 
     // Present only for interval-sampled runs: the window parameters and
     // mean ± 95% CI for every sampled headline metric.
-    if (result.sampling.enabled) {
-        auto metric = [](const SampledMetric &m) {
-            JsonValue v = JsonValue::object();
-            v.set("mean", m.mean);
-            v.set("ci95", m.ci95);
-            return v;
-        };
-        JsonValue s = JsonValue::object();
-        s.set("warmup", result.sampling.warmup);
-        s.set("measure", result.sampling.measure);
-        s.set("fast_forward", result.sampling.fastForward);
-        s.set("windows", result.sampling.windows);
-        s.set("weighted_speedup", metric(result.sampling.weightedSpeedup));
-        s.set("max_slowdown", metric(result.sampling.maxSlowdown));
-        s.set("preventive_actions",
-              metric(result.sampling.preventiveActions));
-        s.set("p99_latency_ns", metric(result.sampling.p99LatencyNs));
-        out.set("sampling", std::move(s));
-    }
+    auto metric = [&ar](const char *name, auto &m) {
+        ar.object(name, [&] {
+            ar.d("mean", m.mean);
+            ar.d("ci95", m.ci95);
+        });
+    };
+    ar.optional("sampling", self.sampling.enabled, [&] {
+        ar.u64("warmup", self.sampling.warmup);
+        ar.u64("measure", self.sampling.measure);
+        ar.u64("fast_forward", self.sampling.fastForward);
+        ar.u64("windows", self.sampling.windows);
+        metric("weighted_speedup", self.sampling.weightedSpeedup);
+        metric("max_slowdown", self.sampling.maxSlowdown);
+        metric("preventive_actions", self.sampling.preventiveActions);
+        metric("p99_latency_ns", self.sampling.p99LatencyNs);
+    });
 
     // Present only for red-team probes: the strategy spec and the
     // per-thread demand-ACT split the fuzzer's evasion fitness divides
     // by, so a warm store re-ranks strategies without re-simulating.
-    if (!config.redteam.empty()) {
-        JsonValue rt = JsonValue::object();
-        rt.set("spec", config.redteam);
-        JsonValue acts = JsonValue::array();
-        for (std::uint64_t a : result.raw.demandActsPerThread)
-            acts.push(a);
-        rt.set("demand_acts_per_thread", std::move(acts));
-        out.set("redteam", std::move(rt));
+    bool probe = !config.redteam.empty();
+    ar.optional("redteam", probe, [&] {
+        ar.derived("spec", [&] { return config.redteam; });
+        ar.array("demand_acts_per_thread", self.raw.demandActsPerThread,
+                 asU64);
+    });
+
+    auto &raw = self.raw;
+    ar.object("raw", [&] {
+        ar.u64("cycles", raw.cycles);
+        ar.u64("demand_acts", raw.demandActs);
+        ar.u64("suspect_marks", raw.suspectMarks);
+        ar.u64("quota_rejections", raw.quotaRejections);
+        ar.b("hit_cycle_cap", raw.hitCycleCap);
+        ar.d("preventive_energy_nj", raw.preventiveEnergyNj);
+        ar.u64("oracle_violations", raw.oracleViolations);
+        ar.u64("oracle_max_count", raw.oracleMaxCount);
+        ar.array("cores", raw.cores, [](auto &a, auto &core) {
+            a.str("name", core.name);
+            a.b("benign", core.benign);
+            a.u64("retired", core.retired);
+            a.u64("finish_cycle", core.finishCycle);
+            a.d("ipc", core.ipc);
+            a.u64("reject_stalls", core.rejectStalls);
+        });
+        ar.array("bh_scores", raw.bhScores, asDouble);
+        ar.array("bh_quotas", raw.bhQuotas, asU64);
+        auto &lat = raw.benignReadLatencyNs;
+        ar.object("benign_read_latency_ns", [&] {
+            ar.derived("count", [&] { return lat.count(); });
+            ar.derived("mean", [&] { return lat.mean(); });
+            ar.derived("p50", [&] { return lat.percentile(50); });
+            ar.derived("p90", [&] { return lat.percentile(90); });
+            ar.derived("p99", [&] { return lat.percentile(99); });
+            ar.derived("p999", [&] { return lat.percentile(99.9); });
+            ar.derived("max", [&] { return lat.max(); });
+            ar.object("histogram", [&] { Histogram::jsonTransfer(ar, lat); });
+        });
+    });
+
+    // The top-level metrics mirror their raw counterparts (runExperiment
+    // copies them out); restore both so direct RunResult readers agree.
+    if constexpr (Ar::kLoading) {
+        raw.energyNj = self.energyNj;
+        raw.preventiveActions = self.preventiveActions;
     }
-
-    JsonValue raw = JsonValue::object();
-    raw.set("cycles", result.raw.cycles);
-    raw.set("demand_acts", result.raw.demandActs);
-    raw.set("suspect_marks", result.raw.suspectMarks);
-    raw.set("quota_rejections", result.raw.quotaRejections);
-    raw.set("hit_cycle_cap", result.raw.hitCycleCap);
-    raw.set("preventive_energy_nj", result.raw.preventiveEnergyNj);
-    raw.set("oracle_violations", result.raw.oracleViolations);
-    raw.set("oracle_max_count", result.raw.oracleMaxCount);
-
-    JsonValue cores = JsonValue::array();
-    for (const CoreResult &c : result.raw.cores) {
-        JsonValue core = JsonValue::object();
-        core.set("name", c.name);
-        core.set("benign", c.benign);
-        core.set("retired", c.retired);
-        core.set("finish_cycle", c.finishCycle);
-        core.set("ipc", c.ipc);
-        core.set("reject_stalls", c.rejectStalls);
-        cores.push(std::move(core));
-    }
-    raw.set("cores", std::move(cores));
-
-    JsonValue bh_scores = JsonValue::array();
-    for (double s : result.raw.bhScores)
-        bh_scores.push(s);
-    raw.set("bh_scores", std::move(bh_scores));
-    JsonValue bh_quotas = JsonValue::array();
-    for (unsigned q : result.raw.bhQuotas)
-        bh_quotas.push(q);
-    raw.set("bh_quotas", std::move(bh_quotas));
-
-    const Histogram &lat = result.raw.benignReadLatencyNs;
-    JsonValue latency = JsonValue::object();
-    latency.set("count", lat.count());
-    latency.set("mean", lat.mean());
-    latency.set("p50", lat.percentile(50));
-    latency.set("p90", lat.percentile(90));
-    latency.set("p99", lat.percentile(99));
-    latency.set("p999", lat.percentile(99.9));
-    latency.set("max", lat.max());
-    latency.set("histogram", histogramToJson(lat));
-    raw.set("benign_read_latency_ns", std::move(latency));
-    out.set("raw", std::move(raw));
-    return out;
 }
 
-namespace {
-
-/** Member @p key of @p obj iff it exists with type @p type, else null.
- *  This is the store's corruption gate: every access in
- *  experimentResultFromJson goes through it so a wrong-typed or
- *  truncated payload reads as a cache miss, never a crash. */
-const JsonValue *
-typedMember(const JsonValue &obj, const char *key, JsonValue::Type type)
+JsonValue
+experimentResultToJson(const ExperimentConfig &config,
+                       const ExperimentResult &result)
 {
-    if (!obj.isObject())
-        return nullptr;
-    const JsonValue *member = obj.find(key);
-    if (member == nullptr || member->type() != type)
-        return nullptr;
-    return member;
+    JsonWriter w;
+    ExperimentResult::transfer(w, result, config);
+    return w.take();
 }
-
-/** Validate the histogramToJson() shape before the (assert-happy)
- *  histogramFromJson() parser touches it. */
-bool
-histogramJsonIsWellFormed(const JsonValue &v)
-{
-    // A generous ceiling on the bin vector a record may ask us to
-    // allocate (the simulator's histograms use 4096 bins): a corrupt
-    // num_bins must read as a cache miss, not throw bad_alloc.
-    constexpr std::uint64_t kMaxBins = 1u << 20;
-    const JsonValue *bin_width =
-        typedMember(v, "bin_width", JsonValue::Type::kNumber);
-    const JsonValue *num_bins =
-        typedMember(v, "num_bins", JsonValue::Type::kNumber);
-    const JsonValue *bins =
-        typedMember(v, "bins", JsonValue::Type::kArray);
-    if (bin_width == nullptr || bin_width->asDouble() <= 0.0 ||
-        num_bins == nullptr || num_bins->asDouble() < 0.0 ||
-        num_bins->asU64() > kMaxBins || bins == nullptr ||
-        typedMember(v, "sum", JsonValue::Type::kNumber) == nullptr ||
-        typedMember(v, "max", JsonValue::Type::kNumber) == nullptr)
-        return false;
-    for (std::size_t i = 0; i < bins->size(); ++i) {
-        const JsonValue &pair = bins->at(i);
-        if (!pair.isArray() || pair.size() != 2 ||
-            !pair.at(0).isNumber() || !pair.at(1).isNumber() ||
-            pair.at(0).asU64() > num_bins->asU64())
-            return false;
-    }
-    return true;
-}
-
-/** Parse a {"mean": x, "ci95": y} sampled-metric object. */
-bool
-sampledMetricFromJson(const JsonValue &v, SampledMetric *out)
-{
-    const JsonValue *mean =
-        typedMember(v, "mean", JsonValue::Type::kNumber);
-    const JsonValue *ci = typedMember(v, "ci95", JsonValue::Type::kNumber);
-    if (mean == nullptr || ci == nullptr)
-        return false;
-    out->mean = mean->asDouble();
-    out->ci95 = ci->asDouble();
-    return true;
-}
-
-} // namespace
 
 bool
 experimentResultFromJson(const JsonValue &v, ExperimentResult *out)
 {
-    // Everything is checked for presence AND type before use: a record
-    // from an older layout — or a same-version record damaged on disk —
-    // reports false and is treated as a cache miss, per the ResultStore
-    // "recompute, never misread" contract.
-    using Type = JsonValue::Type;
-    const JsonValue *ws = typedMember(v, "weighted_speedup", Type::kNumber);
-    const JsonValue *sd = typedMember(v, "max_slowdown", Type::kNumber);
-    const JsonValue *energy = typedMember(v, "energy_nj", Type::kNumber);
-    const JsonValue *prev =
-        typedMember(v, "preventive_actions", Type::kNumber);
-    const JsonValue *raw = typedMember(v, "raw", Type::kObject);
-    if (!ws || !sd || !energy || !prev || !raw)
-        return false;
-
-    const JsonValue *cycles = typedMember(*raw, "cycles", Type::kNumber);
-    const JsonValue *demand =
-        typedMember(*raw, "demand_acts", Type::kNumber);
-    const JsonValue *marks =
-        typedMember(*raw, "suspect_marks", Type::kNumber);
-    const JsonValue *rejections =
-        typedMember(*raw, "quota_rejections", Type::kNumber);
-    const JsonValue *capped =
-        typedMember(*raw, "hit_cycle_cap", Type::kBool);
-    const JsonValue *prev_energy =
-        typedMember(*raw, "preventive_energy_nj", Type::kNumber);
-    const JsonValue *violations =
-        typedMember(*raw, "oracle_violations", Type::kNumber);
-    const JsonValue *max_count =
-        typedMember(*raw, "oracle_max_count", Type::kNumber);
-    const JsonValue *cores = typedMember(*raw, "cores", Type::kArray);
-    const JsonValue *bh_scores =
-        typedMember(*raw, "bh_scores", Type::kArray);
-    const JsonValue *bh_quotas =
-        typedMember(*raw, "bh_quotas", Type::kArray);
-    const JsonValue *latency =
-        typedMember(*raw, "benign_read_latency_ns", Type::kObject);
-    if (!cycles || !demand || !marks || !rejections || !capped ||
-        !prev_energy || !violations || !max_count || !cores ||
-        !bh_scores || !bh_quotas || !latency)
-        return false;
-    const JsonValue *histogram =
-        typedMember(*latency, "histogram", Type::kObject);
-    if (histogram == nullptr || !histogramJsonIsWellFormed(*histogram))
-        return false;
-    for (std::size_t i = 0; i < bh_scores->size(); ++i)
-        if (!bh_scores->at(i).isNumber())
-            return false;
-    for (std::size_t i = 0; i < bh_quotas->size(); ++i)
-        if (!bh_quotas->at(i).isNumber())
-            return false;
-
+    // A record from an older layout, or one damaged on disk or on the
+    // wire, fails the reader and reads as a cache miss, per the
+    // ResultStore "recompute, never misread" contract. The reader
+    // never looks at the config.
     ExperimentResult r;
-    r.weightedSpeedup = ws->asDouble();
-    r.maxSlowdown = sd->asDouble();
-    r.energyNj = energy->asDouble();
-    r.preventiveActions = prev->asU64();
-
-    // The sampling block is optional (exact records lack it), but when
-    // present it must be complete — a truncated one is corruption.
-    if (const JsonValue *sampling = v.find("sampling")) {
-        const JsonValue *warmup =
-            typedMember(*sampling, "warmup", Type::kNumber);
-        const JsonValue *measure =
-            typedMember(*sampling, "measure", Type::kNumber);
-        const JsonValue *ff =
-            typedMember(*sampling, "fast_forward", Type::kNumber);
-        const JsonValue *windows =
-            typedMember(*sampling, "windows", Type::kNumber);
-        const JsonValue *sws =
-            typedMember(*sampling, "weighted_speedup", Type::kObject);
-        const JsonValue *ssd =
-            typedMember(*sampling, "max_slowdown", Type::kObject);
-        const JsonValue *sprev =
-            typedMember(*sampling, "preventive_actions", Type::kObject);
-        const JsonValue *sp99 =
-            typedMember(*sampling, "p99_latency_ns", Type::kObject);
-        if (!warmup || !measure || !ff || !windows || !sws || !ssd ||
-            !sprev || !sp99)
-            return false;
-        r.sampling.enabled = true;
-        r.sampling.warmup = warmup->asU64();
-        r.sampling.measure = measure->asU64();
-        r.sampling.fastForward = ff->asU64();
-        r.sampling.windows = windows->asU64();
-        if (!sampledMetricFromJson(*sws, &r.sampling.weightedSpeedup) ||
-            !sampledMetricFromJson(*ssd, &r.sampling.maxSlowdown) ||
-            !sampledMetricFromJson(*sprev,
-                                   &r.sampling.preventiveActions) ||
-            !sampledMetricFromJson(*sp99, &r.sampling.p99LatencyNs))
-            return false;
-    }
-
-    // The redteam block is likewise optional-but-complete (only probe
-    // records carry it).
-    if (const JsonValue *redteam = v.find("redteam")) {
-        const JsonValue *spec =
-            typedMember(*redteam, "spec", Type::kString);
-        const JsonValue *acts =
-            typedMember(*redteam, "demand_acts_per_thread", Type::kArray);
-        if (!spec || !acts)
-            return false;
-        for (std::size_t i = 0; i < acts->size(); ++i)
-            if (!acts->at(i).isNumber())
-                return false;
-        for (std::size_t i = 0; i < acts->size(); ++i)
-            r.raw.demandActsPerThread.push_back(acts->at(i).asU64());
-    }
-
-    r.raw.cycles = cycles->asU64();
-    r.raw.demandActs = demand->asU64();
-    r.raw.suspectMarks = marks->asU64();
-    r.raw.quotaRejections = rejections->asU64();
-    r.raw.hitCycleCap = capped->asBool();
-    r.raw.preventiveEnergyNj = prev_energy->asDouble();
-    r.raw.oracleViolations = violations->asU64();
-    r.raw.oracleMaxCount = static_cast<std::uint32_t>(max_count->asU64());
-    // The top-level metrics mirror their raw counterparts (runExperiment
-    // copies them out); restore both so direct RunResult readers agree.
-    r.raw.energyNj = r.energyNj;
-    r.raw.preventiveActions = r.preventiveActions;
-
-    for (std::size_t i = 0; i < cores->size(); ++i) {
-        const JsonValue &c = cores->at(i);
-        const JsonValue *name = typedMember(c, "name", Type::kString);
-        const JsonValue *benign = typedMember(c, "benign", Type::kBool);
-        const JsonValue *retired = typedMember(c, "retired", Type::kNumber);
-        const JsonValue *finish =
-            typedMember(c, "finish_cycle", Type::kNumber);
-        const JsonValue *ipc = typedMember(c, "ipc", Type::kNumber);
-        const JsonValue *stalls =
-            typedMember(c, "reject_stalls", Type::kNumber);
-        if (!name || !benign || !retired || !finish || !ipc || !stalls)
-            return false;
-        CoreResult core;
-        core.name = name->asString();
-        core.benign = benign->asBool();
-        core.retired = retired->asU64();
-        core.finishCycle = finish->asU64();
-        core.ipc = ipc->asDouble();
-        core.rejectStalls = stalls->asU64();
-        r.raw.cores.push_back(std::move(core));
-    }
-
-    for (std::size_t i = 0; i < bh_scores->size(); ++i)
-        r.raw.bhScores.push_back(bh_scores->at(i).asDouble());
-    for (std::size_t i = 0; i < bh_quotas->size(); ++i)
-        r.raw.bhQuotas.push_back(
-            static_cast<unsigned>(bh_quotas->at(i).asU64()));
-
-    r.raw.benignReadLatencyNs = histogramFromJson(*histogram);
-
+    JsonReader reader(v);
+    ExperimentResult::transfer(reader, r, ExperimentConfig{});
+    if (!reader.ok())
+        return false;
     *out = std::move(r);
     return true;
 }

@@ -85,6 +85,13 @@ struct ExperimentConfig
      * alias canonical figure records.
      */
     std::string redteam;
+
+    /**
+     * JSON layout of a lease (stats/json_archive.h), behind
+     * svc::experimentConfigToJson()/FromJson() in svc/protocol.cc.
+     */
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &self);
 };
 
 /** A sampled metric: the mean across measurement windows and its CI. */
@@ -125,6 +132,14 @@ struct ExperimentResult
     std::uint64_t preventiveActions = 0;
     /** Present (enabled = true) only for interval-sampled runs. */
     SamplingStats sampling;
+
+    /**
+     * JSON layout of a record (stats/json_archive.h), behind
+     * experimentResultToJson()/FromJson() in experiment.cc. The record
+     * opens with @p config's identity, which the decoder skips.
+     */
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &self, const ExperimentConfig &config);
 };
 
 /** Default per-benign-core instruction count (BH_INSTS, default 150k). */
@@ -290,7 +305,7 @@ soloDependencies(const std::vector<ExperimentConfig> &configs);
 /**
  * One experiment (config identity + metrics + raw summary) as JSON. This
  * is the durable schema of the persistent ResultStore: it carries the
- * full benign-read-latency histogram (raw bins via stats/json_stats.h),
+ * full benign-read-latency histogram (raw bins, Histogram::jsonTransfer),
  * per-core records (IPC, retire/finish, reject stalls), the preventive/
  * demand ACT split, BreakHammer introspection (suspect marks, quota
  * rejections, final per-thread scores and quotas), and the oracle
@@ -305,8 +320,9 @@ JsonValue experimentResultToJson(const ExperimentConfig &config,
  * round trip is exact: re-serializing the parsed result against the same
  * config reproduces the original document byte for byte (doubles are
  * dumped with 17 significant digits; the histogram round-trips raw bins).
- * @return false when @p v is missing required fields (e.g. a record
- *         written by an older schema), in which case @p out is untouched.
+ * @return false when @p v is missing a field or holds one that does not
+ *         fit (a record written by an older schema, or damaged), in
+ *         which case @p out is untouched.
  */
 bool experimentResultFromJson(const JsonValue &v, ExperimentResult *out);
 

@@ -15,6 +15,7 @@
 #include "common/log.h"
 #include "sim/parallel_for.h"
 #include "sim/sweep.h"
+#include "stats/json_archive.h"
 
 namespace bh {
 
@@ -146,42 +147,46 @@ ResultStore::loadFile(const std::string &path)
                 continue;
             }
         }
-        const JsonValue *version = rec.find("v");
-        const JsonValue *kind = rec.find("kind");
-        if (version == nullptr || !version->isNumber() ||
-            version->asU64() != kSchemaVersion || kind == nullptr ||
-            !kind->isString()) {
+        JsonReader fields(rec);
+        std::uint64_t version = 0;
+        std::string kind;
+        fields.u64("v", version);
+        fields.str("kind", kind);
+        if (!fields.ok() || version != kSchemaVersion) {
             ++counters.skipped; // Other schema version: recompute.
             continue;
         }
-        if (kind->asString() == "experiment") {
-            const JsonValue *key = rec.find("key");
+        if (kind == "experiment") {
+            std::string key;
+            fields.str("key", key);
             const JsonValue *payload = rec.find("payload");
-            if (key == nullptr || !key->isString() || payload == nullptr) {
+            if (!fields.ok() || payload == nullptr) {
                 ++counters.skipped;
                 continue;
             }
             // Keep the payload as its compact dump, not a parsed tree:
             // a store can hold far more records than one run requests,
             // and resolveFromDisk() re-parses only the requested ones.
-            if (diskPayloads.emplace(key->asString(), payload->dump())
+            if (diskPayloads.emplace(std::move(key), payload->dump())
                     .second)
                 ++counters.loaded;
-        } else if (kind->asString() == "solo") {
-            const JsonValue *app = rec.find("app");
-            const JsonValue *insts = rec.find("insts");
-            const JsonValue *ipc = rec.find("ipc");
-            if (app == nullptr || insts == nullptr || ipc == nullptr) {
+        } else if (kind == "solo") {
+            std::string app;
+            std::uint64_t insts = 0;
+            double ipc = 0.0;
+            fields.str("app", app);
+            fields.u64("insts", insts);
+            fields.d("ipc", ipc);
+            if (!fields.ok()) {
                 ++counters.skipped;
                 continue;
             }
-            primeSoloIpc(app->asString(), insts->asU64(),
-                         ipc->asDouble());
+            primeSoloIpc(app, insts, ipc);
             // Mark the pair as already persisted so a later ingestSolo()
             // (a warm coordinator's workers recompute their own
             // denominators) does not append a duplicate line.
-            soloIngested.emplace(
-                std::make_pair(app->asString(), insts->asU64()), true);
+            soloIngested.emplace(std::make_pair(std::move(app), insts),
+                                 true);
             ++counters.soloLoaded;
         } else {
             ++counters.skipped;

@@ -191,6 +191,39 @@ class Histogram
     /** Restore saveState() output; geometry mismatch is a failure. */
     void loadState(StateReader &r) { transfer(r, *this); }
 
+    /**
+     * JSON layout (stats/json_archive.h): the raw state, so a decoded
+     * histogram answers every query like the original. Only occupied
+     * bins travel, as [index, count] pairs, since latency histograms
+     * are sparse. The decoder checks the geometry before sizing bins.
+     */
+    template <class Ar, class Self>
+    static void
+    jsonTransfer(Ar &ar, Self &self)
+    {
+        // The simulator's histograms use 4096 bins: a corrupt count must
+        // fail the decode, not allocate without bound.
+        constexpr std::uint64_t kMaxBins = 1u << 20;
+        std::uint64_t num_bins = self.bins.size() - 1;
+        ar.d("bin_width", self.binWidth_);
+        ar.u64("num_bins", num_bins);
+        ar.d("sum", self.sum_);
+        ar.d("max", self.max_);
+        ar.check(self.binWidth_ > 0.0 && num_bins <= kMaxBins);
+        if constexpr (Ar::kLoading) {
+            if (!ar.ok())
+                return;
+            self.bins.assign(num_bins + 1, 0);
+        }
+        ar.sparse("bins", self.bins);
+        if constexpr (Ar::kLoading) {
+            self.count_ = 0;
+            for (std::uint64_t c : self.bins)
+                self.count_ += c;
+            self.dropped_ = 0;
+        }
+    }
+
     bool
     operator==(const Histogram &other) const
     {

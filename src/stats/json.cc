@@ -39,13 +39,6 @@ JsonValue::asDouble() const
     return number_;
 }
 
-std::uint64_t
-JsonValue::asU64() const
-{
-    BH_ASSERT(isNumber() && number_ >= 0.0, "JsonValue: not a u64");
-    return static_cast<std::uint64_t>(number_);
-}
-
 const std::string &
 JsonValue::asString() const
 {

@@ -64,7 +64,6 @@ class JsonValue
 
     bool asBool() const;
     double asDouble() const;
-    std::uint64_t asU64() const;
     const std::string &asString() const;
 
     // --- arrays -----------------------------------------------------

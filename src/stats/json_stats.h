@@ -2,15 +2,15 @@
  * @file
  * JSON conversions for the stats primitives.
  *
- * Histograms export their full raw state so a parsed histogram answers
- * every query (count, mean, max, percentiles) identically to the one that
- * was dumped; bins are run-length compressed as [index, count] pairs since
- * latency histograms are sparse.
+ * Histograms export their full raw state (Histogram::jsonTransfer) so a
+ * parsed histogram answers every query (count, mean, max, percentiles)
+ * identically to the one that was dumped.
  */
 #pragma once
 
+#include "common/log.h"
 #include "stats/histogram.h"
-#include "stats/json.h"
+#include "stats/json_archive.h"
 
 namespace bh {
 
@@ -18,41 +18,21 @@ namespace bh {
 inline JsonValue
 histogramToJson(const Histogram &h)
 {
-    JsonValue out = JsonValue::object();
-    out.set("bin_width", h.binWidth());
-    out.set("num_bins", static_cast<std::uint64_t>(h.rawBins().size() - 1));
-    out.set("sum", h.sum());
-    out.set("max", h.max());
-    JsonValue bins = JsonValue::array();
-    const std::vector<std::uint64_t> &raw = h.rawBins();
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (raw[i] == 0)
-            continue;
-        JsonValue pair = JsonValue::array();
-        pair.push(static_cast<std::uint64_t>(i));
-        pair.push(raw[i]);
-        bins.push(std::move(pair));
-    }
-    out.set("bins", std::move(bins));
-    return out;
+    JsonWriter w;
+    Histogram::jsonTransfer(w, h);
+    return w.take();
 }
 
-/** Rebuild a histogram dumped by histogramToJson(). */
+/** Rebuild a histogram dumped by histogramToJson(); fatal when @p v is
+ *  malformed (trusted documents only). */
 inline Histogram
 histogramFromJson(const JsonValue &v)
 {
-    std::size_t num_bins = v.get("num_bins").asU64();
-    std::vector<std::uint64_t> raw(num_bins + 1, 0);
-    const JsonValue &bins = v.get("bins");
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        const JsonValue &pair = bins.at(i);
-        std::size_t idx = pair.at(0).asU64();
-        BH_ASSERT(idx < raw.size(), "histogram JSON: bin out of range");
-        raw[idx] = pair.at(1).asU64();
-    }
-    return Histogram::fromRaw(v.get("bin_width").asDouble(),
-                              std::move(raw), v.get("sum").asDouble(),
-                              v.get("max").asDouble());
+    Histogram h;
+    JsonReader r(v);
+    Histogram::jsonTransfer(r, h);
+    BH_ASSERT(r.ok(), "histogram JSON is malformed");
+    return h;
 }
 
 } // namespace bh

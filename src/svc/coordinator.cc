@@ -14,6 +14,7 @@
 
 #include "common/log.h"
 #include "sim/sweep.h"
+#include "stats/json_archive.h"
 #include "svc/net.h"
 #include "svc/protocol.h"
 
@@ -339,14 +340,13 @@ SweepCoordinator::handleMessage(Conn &conn, const JsonValue &msg)
 {
     std::string type = messageType(msg);
     if (type == "hello") {
-        const JsonValue *proto = msg.find("proto");
-        const JsonValue *schema = msg.find("schema");
+        JsonReader fields(msg);
+        std::uint64_t peer_proto = 0;
+        std::uint64_t peer_schema = 0;
+        fields.u64("proto", peer_proto);
+        fields.u64("schema", peer_schema);
         const JsonValue *name = msg.find("name");
-        std::uint64_t peer_proto =
-            proto != nullptr && proto->isNumber() ? proto->asU64() : 0;
-        std::uint64_t peer_schema =
-            schema != nullptr && schema->isNumber() ? schema->asU64() : 0;
-        if (peer_proto != kProtocolVersion ||
+        if (!fields.ok() || peer_proto != kProtocolVersion ||
             peer_schema != ResultStore::kSchemaVersion) {
             // A worker from different sources would fill the store with
             // records this coordinator cannot reproduce or even parse.
@@ -432,15 +432,17 @@ SweepCoordinator::handleMessage(Conn &conn, const JsonValue &msg)
         return;
     }
     if (type == "solo") {
-        const JsonValue *app = msg.find("app");
-        const JsonValue *insts = msg.find("insts");
-        const JsonValue *ipc = msg.find("ipc");
-        if (app == nullptr || !app->isString() || insts == nullptr ||
-            !insts->isNumber() || ipc == nullptr || !ipc->isNumber())
+        JsonReader fields(msg);
+        std::string app;
+        std::uint64_t insts = 0;
+        double ipc = 0.0;
+        fields.str("app", app);
+        fields.u64("insts", insts);
+        fields.d("ipc", ipc);
+        if (!fields.ok())
             return;
         if (store != nullptr)
-            store->ingestSolo(app->asString(), insts->asU64(),
-                              ipc->asDouble());
+            store->ingestSolo(app, insts, ipc);
         ++soloSeen;
         return;
     }

@@ -2,6 +2,117 @@
 
 #include "sim/redteam.h"
 #include "sim/result_store.h"
+#include "stats/json_archive.h"
+
+namespace bh {
+
+namespace {
+
+/** JSON spelling of each workload slot kind. */
+constexpr std::pair<WorkloadSlot::Kind, const char *> kSlotKinds[] = {
+    {WorkloadSlot::Kind::kBenign, "benign"},
+    {WorkloadSlot::Kind::kAttacker, "attacker"},
+    {WorkloadSlot::Kind::kAdaptiveAttacker, "adaptive_attacker"},
+};
+
+const char *
+slotKindName(WorkloadSlot::Kind kind)
+{
+    for (const auto &[k, name] : kSlotKinds)
+        if (k == kind)
+            return name;
+    return "";
+}
+
+bool
+slotKindFromName(const std::string &name, WorkloadSlot::Kind *out)
+{
+    for (const auto &[k, spelled] : kSlotKinds)
+        if (name == spelled) {
+            *out = k;
+            return true;
+        }
+    return false;
+}
+
+} // namespace
+
+template <class Ar, class Self>
+void
+ExperimentConfig::transfer(Ar &ar, Self &self)
+{
+    ar.object("mix", [&] {
+        ar.str("name", self.mix.name);
+        ar.str("pattern", self.mix.pattern);
+        ar.array("slots", self.mix.slots, [](auto &a, auto &slot) {
+            std::string kind = slotKindName(slot.kind);
+            a.str("kind", kind);
+            if constexpr (Ar::kLoading)
+                a.check(slotKindFromName(kind, &slot.kind));
+            a.str("app", slot.appName);
+            a.object("attacker", [&] {
+                a.u64("pattern", slot.attacker.pattern);
+                a.check(slot.attacker.pattern <= AttackPattern::kHalfDouble);
+                a.u64("aggressors", slot.attacker.numAggressors);
+                a.u64("row_base", slot.attacker.rowBase);
+                a.u64("row_spacing", slot.attacker.rowSpacing);
+                a.u64("banks", slot.attacker.numBanks);
+                a.u64("bubbles", slot.attacker.bubbles);
+            });
+            a.object("adaptive", [&] {
+                a.u64("observe_every", slot.adaptive.observeEvery);
+                a.u64("max_bubbles", slot.adaptive.maxBubbles);
+                a.u64("rotation_stride", slot.adaptive.rotationStride);
+                a.u64("calm_streak", slot.adaptive.calmStreak);
+                a.u64("group_size", slot.adaptive.groupSize);
+                a.u64("slot_index", slot.adaptive.slotIndex);
+                a.u64("handoff_epoch", slot.adaptive.handoffEpoch);
+            });
+        });
+    });
+    // Enums travel by name; the decoder maps the name back.
+    std::string mech = mitigationName(self.mechanism);
+    ar.str("mechanism", mech);
+    if constexpr (Ar::kLoading)
+        ar.check(svc::mitigationFromName(mech, &self.mechanism));
+    ar.u64("nrh", self.nRh);
+    ar.b("breakhammer", self.breakHammer);
+    ar.object("bh", [&] {
+        ar.u64("window", self.bh.window);
+        ar.d("th_threat", self.bh.thThreat);
+        ar.d("th_outlier", self.bh.thOutlier);
+        ar.u64("p_old_suspect", self.bh.pOldSuspect);
+        ar.u64("p_new_suspect", self.bh.pNewSuspect);
+        bool wta = self.bh.attribution == ScoreAttribution::kWinnerTakesAll;
+        ar.b("winner_takes_all", wta);
+        if constexpr (Ar::kLoading)
+            self.bh.attribution = wta ? ScoreAttribution::kWinnerTakesAll
+                                      : ScoreAttribution::kProportional;
+        ar.b("single_counter_set", self.bh.singleCounterSet);
+    });
+    ar.u64("instructions", self.instructions);
+    ar.b("oracle", self.oracle);
+    ar.b("blunt_throttle", self.bluntThrottle);
+    ar.u64("seed", self.seed);
+    ar.u64("channels", self.channels);
+    ar.u64("ranks", self.ranks);
+    ar.object("sample", [&] {
+        ar.u64("warmup", self.sample.warmup);
+        ar.u64("measure", self.sample.measure);
+        ar.u64("fast_forward", self.sample.fastForward);
+    });
+    ar.str("redteam", self.redteam);
+    // Empty = canonical fixed attackers; anything else must be a
+    // canonical strategy spec (the worker's runExperiment() aborts on
+    // garbage, so reject it at the wire instead).
+    if constexpr (Ar::kLoading) {
+        RedteamStrategy strategy;
+        ar.check(self.redteam.empty() ||
+                 parseRedteamStrategy(self.redteam, &strategy));
+    }
+}
+
+} // namespace bh
 
 namespace bh::svc {
 
@@ -53,255 +164,19 @@ mitigationFromName(const std::string &name, MitigationType *out)
 JsonValue
 experimentConfigToJson(const ExperimentConfig &config)
 {
-    JsonValue mix = JsonValue::object();
-    mix.set("name", config.mix.name);
-    mix.set("pattern", config.mix.pattern);
-    JsonValue slots = JsonValue::array();
-    for (const WorkloadSlot &slot : config.mix.slots) {
-        JsonValue s = JsonValue::object();
-        const char *kind = "benign";
-        if (slot.kind == WorkloadSlot::Kind::kAttacker)
-            kind = "attacker";
-        else if (slot.kind == WorkloadSlot::Kind::kAdaptiveAttacker)
-            kind = "adaptive_attacker";
-        s.set("kind", kind);
-        s.set("app", slot.appName);
-        JsonValue a = JsonValue::object();
-        a.set("pattern", static_cast<unsigned>(slot.attacker.pattern));
-        a.set("aggressors", slot.attacker.numAggressors);
-        a.set("row_base", slot.attacker.rowBase);
-        a.set("row_spacing", slot.attacker.rowSpacing);
-        a.set("banks", slot.attacker.numBanks);
-        a.set("bubbles", slot.attacker.bubbles);
-        s.set("attacker", std::move(a));
-        JsonValue ad = JsonValue::object();
-        ad.set("observe_every", slot.adaptive.observeEvery);
-        ad.set("max_bubbles", slot.adaptive.maxBubbles);
-        ad.set("rotation_stride", slot.adaptive.rotationStride);
-        ad.set("calm_streak", slot.adaptive.calmStreak);
-        ad.set("group_size", slot.adaptive.groupSize);
-        ad.set("slot_index", slot.adaptive.slotIndex);
-        ad.set("handoff_epoch", slot.adaptive.handoffEpoch);
-        s.set("adaptive", std::move(ad));
-        slots.push(std::move(s));
-    }
-    mix.set("slots", std::move(slots));
-
-    JsonValue bh = JsonValue::object();
-    bh.set("window", config.bh.window);
-    bh.set("th_threat", config.bh.thThreat);
-    bh.set("th_outlier", config.bh.thOutlier);
-    bh.set("p_old_suspect", config.bh.pOldSuspect);
-    bh.set("p_new_suspect", config.bh.pNewSuspect);
-    bh.set("winner_takes_all",
-           config.bh.attribution == ScoreAttribution::kWinnerTakesAll);
-    bh.set("single_counter_set", config.bh.singleCounterSet);
-
-    JsonValue out = JsonValue::object();
-    out.set("mix", std::move(mix));
-    out.set("mechanism", mitigationName(config.mechanism));
-    out.set("nrh", config.nRh);
-    out.set("breakhammer", config.breakHammer);
-    out.set("bh", std::move(bh));
-    out.set("instructions", config.instructions);
-    out.set("oracle", config.oracle);
-    out.set("blunt_throttle", config.bluntThrottle);
-    out.set("seed", config.seed);
-    out.set("channels", config.channels);
-    out.set("ranks", config.ranks);
-    JsonValue sample = JsonValue::object();
-    sample.set("warmup", config.sample.warmup);
-    sample.set("measure", config.sample.measure);
-    sample.set("fast_forward", config.sample.fastForward);
-    out.set("sample", std::move(sample));
-    out.set("redteam", config.redteam);
-    return out;
+    JsonWriter w;
+    ExperimentConfig::transfer(w, config);
+    return w.take();
 }
-
-namespace {
-
-/** Typed member lookups that fail soft (codec rejects, never aborts). */
-const JsonValue *
-member(const JsonValue &v, const char *key, JsonValue::Type type)
-{
-    const JsonValue *m = v.isObject() ? v.find(key) : nullptr;
-    return m != nullptr && m->type() == type ? m : nullptr;
-}
-
-} // namespace
 
 bool
 experimentConfigFromJson(const JsonValue &v, ExperimentConfig *out)
 {
-    const JsonValue *mix = member(v, "mix", JsonValue::Type::kObject);
-    const JsonValue *mech = member(v, "mechanism", JsonValue::Type::kString);
-    const JsonValue *nrh = member(v, "nrh", JsonValue::Type::kNumber);
-    const JsonValue *bh_on =
-        member(v, "breakhammer", JsonValue::Type::kBool);
-    const JsonValue *bh = member(v, "bh", JsonValue::Type::kObject);
-    const JsonValue *insts =
-        member(v, "instructions", JsonValue::Type::kNumber);
-    const JsonValue *oracle = member(v, "oracle", JsonValue::Type::kBool);
-    const JsonValue *blunt =
-        member(v, "blunt_throttle", JsonValue::Type::kBool);
-    const JsonValue *seed = member(v, "seed", JsonValue::Type::kNumber);
-    const JsonValue *channels =
-        member(v, "channels", JsonValue::Type::kNumber);
-    const JsonValue *ranks = member(v, "ranks", JsonValue::Type::kNumber);
-    const JsonValue *sample =
-        member(v, "sample", JsonValue::Type::kObject);
-    const JsonValue *redteam =
-        member(v, "redteam", JsonValue::Type::kString);
-    if (!mix || !mech || !nrh || !bh_on || !bh || !insts || !oracle ||
-        !blunt || !seed || !channels || !ranks || !sample || !redteam)
-        return false;
-
-    const JsonValue *mix_name =
-        member(*mix, "name", JsonValue::Type::kString);
-    const JsonValue *mix_pattern =
-        member(*mix, "pattern", JsonValue::Type::kString);
-    const JsonValue *slots =
-        member(*mix, "slots", JsonValue::Type::kArray);
-    if (!mix_name || !mix_pattern || !slots)
-        return false;
-
     ExperimentConfig config;
-    if (!mitigationFromName(mech->asString(), &config.mechanism))
+    JsonReader r(v);
+    ExperimentConfig::transfer(r, config);
+    if (!r.ok())
         return false;
-    config.mix.name = mix_name->asString();
-    config.mix.pattern = mix_pattern->asString();
-    for (std::size_t i = 0; i < slots->size(); ++i) {
-        const JsonValue &s = slots->at(i);
-        const JsonValue *kind = member(s, "kind", JsonValue::Type::kString);
-        const JsonValue *app = member(s, "app", JsonValue::Type::kString);
-        const JsonValue *att =
-            member(s, "attacker", JsonValue::Type::kObject);
-        const JsonValue *adp =
-            member(s, "adaptive", JsonValue::Type::kObject);
-        if (!kind || !app || !att || !adp)
-            return false;
-        const JsonValue *pattern =
-            member(*att, "pattern", JsonValue::Type::kNumber);
-        const JsonValue *aggr =
-            member(*att, "aggressors", JsonValue::Type::kNumber);
-        const JsonValue *row_base =
-            member(*att, "row_base", JsonValue::Type::kNumber);
-        const JsonValue *row_spacing =
-            member(*att, "row_spacing", JsonValue::Type::kNumber);
-        const JsonValue *banks =
-            member(*att, "banks", JsonValue::Type::kNumber);
-        const JsonValue *bubbles =
-            member(*att, "bubbles", JsonValue::Type::kNumber);
-        if (!pattern || !aggr || !row_base || !row_spacing || !banks ||
-            !bubbles || pattern->asU64() > 2)
-            return false;
-        const JsonValue *observe =
-            member(*adp, "observe_every", JsonValue::Type::kNumber);
-        const JsonValue *max_bubbles =
-            member(*adp, "max_bubbles", JsonValue::Type::kNumber);
-        const JsonValue *stride =
-            member(*adp, "rotation_stride", JsonValue::Type::kNumber);
-        const JsonValue *calm =
-            member(*adp, "calm_streak", JsonValue::Type::kNumber);
-        const JsonValue *group =
-            member(*adp, "group_size", JsonValue::Type::kNumber);
-        const JsonValue *slot_index =
-            member(*adp, "slot_index", JsonValue::Type::kNumber);
-        const JsonValue *handoff =
-            member(*adp, "handoff_epoch", JsonValue::Type::kNumber);
-        if (!observe || !max_bubbles || !stride || !calm || !group ||
-            !slot_index || !handoff)
-            return false;
-        WorkloadSlot slot;
-        if (kind->asString() == "attacker")
-            slot.kind = WorkloadSlot::Kind::kAttacker;
-        else if (kind->asString() == "adaptive_attacker")
-            slot.kind = WorkloadSlot::Kind::kAdaptiveAttacker;
-        else if (kind->asString() == "benign")
-            slot.kind = WorkloadSlot::Kind::kBenign;
-        else
-            return false;
-        slot.appName = app->asString();
-        slot.attacker.pattern =
-            static_cast<AttackPattern>(pattern->asU64());
-        slot.attacker.numAggressors =
-            static_cast<unsigned>(aggr->asU64());
-        slot.attacker.rowBase = static_cast<unsigned>(row_base->asU64());
-        slot.attacker.rowSpacing =
-            static_cast<unsigned>(row_spacing->asU64());
-        slot.attacker.numBanks = static_cast<unsigned>(banks->asU64());
-        slot.attacker.bubbles =
-            static_cast<std::uint32_t>(bubbles->asU64());
-        slot.adaptive.observeEvery =
-            static_cast<unsigned>(observe->asU64());
-        slot.adaptive.maxBubbles =
-            static_cast<std::uint32_t>(max_bubbles->asU64());
-        slot.adaptive.rotationStride =
-            static_cast<unsigned>(stride->asU64());
-        slot.adaptive.calmStreak = static_cast<unsigned>(calm->asU64());
-        slot.adaptive.groupSize = static_cast<unsigned>(group->asU64());
-        slot.adaptive.slotIndex =
-            static_cast<unsigned>(slot_index->asU64());
-        slot.adaptive.handoffEpoch = handoff->asU64();
-        config.mix.slots.push_back(std::move(slot));
-    }
-
-    const JsonValue *window =
-        member(*bh, "window", JsonValue::Type::kNumber);
-    const JsonValue *th_threat =
-        member(*bh, "th_threat", JsonValue::Type::kNumber);
-    const JsonValue *th_outlier =
-        member(*bh, "th_outlier", JsonValue::Type::kNumber);
-    const JsonValue *p_old =
-        member(*bh, "p_old_suspect", JsonValue::Type::kNumber);
-    const JsonValue *p_new =
-        member(*bh, "p_new_suspect", JsonValue::Type::kNumber);
-    const JsonValue *wta =
-        member(*bh, "winner_takes_all", JsonValue::Type::kBool);
-    const JsonValue *single =
-        member(*bh, "single_counter_set", JsonValue::Type::kBool);
-    if (!window || !th_threat || !th_outlier || !p_old || !p_new || !wta ||
-        !single)
-        return false;
-    config.bh.window = window->asU64();
-    config.bh.thThreat = th_threat->asDouble();
-    config.bh.thOutlier = th_outlier->asDouble();
-    config.bh.pOldSuspect = static_cast<unsigned>(p_old->asU64());
-    config.bh.pNewSuspect = static_cast<unsigned>(p_new->asU64());
-    config.bh.attribution = wta->asBool()
-                                ? ScoreAttribution::kWinnerTakesAll
-                                : ScoreAttribution::kProportional;
-    config.bh.singleCounterSet = single->asBool();
-
-    const JsonValue *warmup =
-        member(*sample, "warmup", JsonValue::Type::kNumber);
-    const JsonValue *measure =
-        member(*sample, "measure", JsonValue::Type::kNumber);
-    const JsonValue *ff =
-        member(*sample, "fast_forward", JsonValue::Type::kNumber);
-    if (!warmup || !measure || !ff)
-        return false;
-    config.sample.warmup = warmup->asU64();
-    config.sample.measure = measure->asU64();
-    config.sample.fastForward = ff->asU64();
-
-    config.nRh = static_cast<unsigned>(nrh->asU64());
-    config.breakHammer = bh_on->asBool();
-    config.instructions = insts->asU64();
-    config.oracle = oracle->asBool();
-    config.bluntThrottle = blunt->asBool();
-    config.seed = seed->asU64();
-    config.channels = static_cast<unsigned>(channels->asU64());
-    config.ranks = static_cast<unsigned>(ranks->asU64());
-    // Empty = canonical fixed attackers; non-empty must be a canonical
-    // strategy spec (the worker's runExperiment() aborts on garbage, so
-    // reject it at the wire instead).
-    config.redteam = redteam->asString();
-    if (!config.redteam.empty()) {
-        RedteamStrategy strategy;
-        if (!parseRedteamStrategy(config.redteam, &strategy))
-            return false;
-    }
     *out = std::move(config);
     return true;
 }

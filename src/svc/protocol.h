@@ -66,7 +66,9 @@ JsonValue experimentConfigToJson(const ExperimentConfig &config);
  * Rebuild an ExperimentConfig from experimentConfigToJson() output.
  * Exact: experimentKey() of the round-tripped config equals the
  * original's (test_svc pins this).
- * @return false when @p v is malformed; @p out is then untouched.
+ * @return false when @p v is malformed (a missing member, a wrong type,
+ *         a number that does not fit its field, an unknown name);
+ *         @p out is then untouched.
  */
 bool experimentConfigFromJson(const JsonValue &v, ExperimentConfig *out);
 

@@ -284,6 +284,43 @@ TEST(ResultStoreTest, FromJsonRejectsOlderSchemaLayouts)
     ExperimentResult out;
     EXPECT_FALSE(experimentResultFromJson(stripped, &out));
     EXPECT_TRUE(experimentResultFromJson(doc, &out));
+
+    // Numbers outside their fields (negative, beyond a u64) are damage
+    // too: ingesting such a worker payload must fail with an error, not
+    // abort the coordinator's process.
+    auto with_raw = [&doc](const char *key, JsonValue value) {
+        JsonValue damaged = doc;
+        JsonValue raw = doc.get("raw");
+        raw.set(key, std::move(value));
+        damaged.set("raw", std::move(raw));
+        return damaged;
+    };
+    JsonValue bad_core = doc;
+    {
+        JsonValue raw = doc.get("raw");
+        JsonValue cores = JsonValue::array();
+        for (std::size_t i = 0; i < raw.get("cores").size(); ++i) {
+            JsonValue core = raw.get("cores").at(i);
+            if (i == 1)
+                core.set("reject_stalls", -5);
+            cores.push(std::move(core));
+        }
+        raw.set("cores", std::move(cores));
+        bad_core.set("raw", std::move(raw));
+    }
+    const JsonValue damaged[] = {
+        with_raw("cycles", -1),
+        with_raw("cycles", 1e300),
+        bad_core,
+    };
+    ResultStore store(1);
+    for (const JsonValue &payload : damaged) {
+        std::string error;
+        EXPECT_FALSE(store.ingest(cfg, payload, &error)) << payload.dump();
+        EXPECT_FALSE(error.empty());
+    }
+    std::string error;
+    EXPECT_TRUE(store.ingest(cfg, doc, &error)) << error;
 }
 
 /** FNV-1a 64 of @p v's compact dump: the exported and stored bytes. */
@@ -424,6 +461,40 @@ TEST(ResultStoreTest, SchemaVersionMismatchTriggersRecomputeNotCorruption)
     // The point recomputes cleanly and lands back in the store.
     expectIdentical(runExperiment(cfg), store.get(cfg));
     EXPECT_EQ(store.stats().computed, 1u);
+}
+
+TEST(ResultStoreTest, DamagedFieldsInStoreLinesAreSkippedNotFatal)
+{
+    std::string dir = storeDir("damaged");
+    ExperimentConfig cfg =
+        smallConfig("MMLL", MitigationType::kNone, 1024, false);
+
+    {
+        ResultStore store(1);
+        std::string error;
+        ASSERT_TRUE(store.open(dir, &error)) << error;
+        store.prefetch({cfg});
+    }
+    {
+        // Well-formed JSON whose fields do not fit: a negative version,
+        // a solo record with a string count, and one with a fractional
+        // count and a numeric app.
+        std::ofstream out(resultsPath(dir), std::ios::app);
+        out << "{\"v\":-2,\"kind\":\"experiment\",\"key\":\"k\","
+               "\"payload\":{}}\n"
+            << "{\"v\":2,\"kind\":\"solo\",\"app\":\"mcf\","
+               "\"insts\":\"x\",\"ipc\":1.5}\n"
+            << "{\"v\":2,\"kind\":\"solo\",\"app\":7,"
+               "\"insts\":0.5,\"ipc\":1.5}\n";
+    }
+
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    EXPECT_EQ(store.stats().loaded, 1u);
+    EXPECT_EQ(store.stats().skipped, 3u);
+    expectIdentical(runExperiment(cfg), store.get(cfg));
+    EXPECT_EQ(store.stats().computed, 0u);
 }
 
 TEST(ResultStoreTest, TornTrailingLineIsSkippedNotFatal)

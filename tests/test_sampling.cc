@@ -186,7 +186,8 @@ TEST(SamplingTest, SampledRecordJsonRoundTrips)
     JsonValue v = experimentResultToJson(cfg, r);
     const JsonValue *s = v.find("sampling");
     ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->find("windows")->asU64(), r.sampling.windows);
+    EXPECT_EQ(s->find("windows")->asDouble(),
+              static_cast<double>(r.sampling.windows));
 
     // Round-trip through the parser used by the ResultStore.
     ExperimentResult back;

@@ -183,6 +183,22 @@ TEST(ProtocolTest, ConfigCodecRejectsMalformedDocuments)
     JsonValue broken = wire;
     broken.set("mechanism", "not-a-mechanism");
     EXPECT_FALSE(experimentConfigFromJson(broken, &back));
+
+    // Numbers that do not fit their field: negative, wider than the
+    // unsigned N_RH, or fractional.
+    for (JsonValue nrh : {JsonValue(-1), JsonValue(4294967297.0),
+                          JsonValue(1.5)}) {
+        broken = wire;
+        broken.set("nrh", nrh);
+        EXPECT_FALSE(experimentConfigFromJson(broken, &back))
+            << nrh.dump();
+    }
+    broken = wire;
+    JsonValue bh = wire.get("bh");
+    bh.set("window", -3);
+    broken.set("bh", bh);
+    EXPECT_FALSE(experimentConfigFromJson(broken, &back));
+    EXPECT_TRUE(experimentConfigFromJson(wire, &back));
 }
 
 // ---------------------------------------------------------------------
@@ -569,6 +585,67 @@ TEST(SweepServiceTest, PreHelloAndBadVersionPeersAreClosedSafely)
 
     coordinator.requestStop();
     serve.join();
+}
+
+TEST(SweepServiceTest, OutOfRangeNumbersInFramesAreRefusedNotFatal)
+{
+    ExperimentConfig cfg;
+    cfg.mix = makeMix("MMLL", 0);
+    cfg.mechanism = MitigationType::kNone;
+    cfg.nRh = 1024;
+    cfg.instructions = 2000;
+
+    std::string dir = freshDir("badnumbers");
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    CoordinatorOptions copts;
+    copts.port = 0;
+    SweepCoordinator coordinator(copts, &store, {cfg});
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::thread serve([&] {
+        std::string serve_error;
+        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
+    });
+
+    // A negative protocol version is a mismatch like any other.
+    int fd = connectTo(coordinator.port());
+    FrameReader reader;
+    sendAll(fd, encodeFrame("{\"type\":\"hello\",\"proto\":-1,"
+                            "\"schema\":2}"));
+    JsonValue msg = JsonValue::parseOrDie(readFrame(fd, &reader));
+    EXPECT_EQ(messageType(msg), "error");
+    ::close(fd);
+
+    // A solo frame with a negative count is ignored. The lease request
+    // behind it is answered only after the solo frame was handled;
+    // dropping the connection then forfeits that lease.
+    fd = connectTo(coordinator.port());
+    FrameReader reader2;
+    sendAll(fd, encodeFrame(makeHello(1, "fake").dump()));
+    msg = JsonValue::parseOrDie(readFrame(fd, &reader2));
+    ASSERT_EQ(messageType(msg), "hello_ok");
+    sendAll(fd, encodeFrame("{\"type\":\"solo\",\"app\":\"mcf\","
+                            "\"insts\":-1,\"ipc\":1.5}") +
+                    encodeFrame(makeLeaseRequest().dump()));
+    msg = JsonValue::parseOrDie(readFrame(fd, &reader2));
+    EXPECT_EQ(messageType(msg), "lease");
+    ::close(fd);
+
+    // The coordinator kept serving: a real worker completes the sweep.
+    WorkerOptions wopts;
+    wopts.port = coordinator.port();
+    wopts.jobs = 1;
+    wopts.name = "after";
+    SweepWorker worker(wopts);
+    std::string worker_error;
+    EXPECT_TRUE(worker.run(&worker_error)) << worker_error;
+    serve.join();
+
+    CoordinatorMetrics m = coordinator.metrics();
+    EXPECT_TRUE(m.complete);
+    EXPECT_EQ(m.unitsDone, 1u);
+    EXPECT_EQ(m.recordsIngested, 1u);
 }
 
 TEST(SweepServiceTest, LateResultForARequeuedUnitDoesNotFakeCompletion)

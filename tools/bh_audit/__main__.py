@@ -6,7 +6,7 @@ dynamic guarantees:
   snapshot-coverage   every mutable data member of a class with a
                       snapshot transfer() is named in it
   key-coverage        every ExperimentConfig field reaches the content
-                      address and both wire-codec directions
+                      address and the wire codec's transfer()
   determinism         no wall clocks / global RNG / stray getenv /
                       hash-order-dependent output / pointer-keyed
                       ordering in simulation code

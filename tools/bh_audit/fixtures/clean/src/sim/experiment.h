@@ -1,5 +1,5 @@
 // Fixture: minimal ExperimentConfig whose every field reaches the key
-// and both codec directions. bh_audit --selftest pins the key-coverage
+// and the protocol transfer. bh_audit --selftest pins the key-coverage
 // pass to report nothing here.
 #pragma once
 

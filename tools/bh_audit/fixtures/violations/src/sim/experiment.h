@@ -1,7 +1,7 @@
 // Fixture: `stealthFactor` is injected — it reaches neither
-// experimentKey()/resolveExperimentConfig() nor either protocol codec
-// direction. The selftest requires the key-coverage pass to flag it
-// three times (key, encode, decode).
+// experimentKey()/resolveExperimentConfig() nor the protocol transfer.
+// The selftest requires the key-coverage pass to flag it twice (key,
+// transfer).
 #pragma once
 
 #include <cstdint>

@@ -2,22 +2,12 @@
 
 namespace bh {
 
-JsonValue
-experimentConfigToJson(const ExperimentConfig &config)
+template <class Ar, class Self>
+void
+ExperimentConfig::transfer(Ar &ar, Self &self)
 {
-    JsonValue j;
-    j.set("nRh", config.nRh);
-    j.set("seed", config.seed);
-    return j;
-}
-
-ExperimentConfig
-experimentConfigFromJson(const JsonValue &j)
-{
-    ExperimentConfig config;
-    config.nRh = j.getUnsigned("nRh");
-    config.seed = j.getU64("seed");
-    return config;
+    ar.u64("nRh", self.nRh);
+    ar.u64("seed", self.seed);
 }
 
 } // namespace bh

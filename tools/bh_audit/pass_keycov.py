@@ -2,18 +2,20 @@
 
 ExperimentConfig is the identity of a simulation: every field that can
 change a result must reach (a) the content address — experimentKey() or
-the default-folding in resolveExperimentConfig() — and (b) both sides
-of the sweep-service codec (experimentConfigToJson /
-experimentConfigFromJson in src/svc/protocol.cc). A field missing from
-(a) aliases distinct simulations onto one store record; a field missing
-from (b) silently drops configuration on the wire, so a worker runs a
-different experiment than the coordinator leased.
+the default-folding in resolveExperimentConfig() — and (b) the
+sweep-service wire codec, whose one JSON transfer body
+(ExperimentConfig::transfer in src/svc/protocol.cc) both encodes and
+decodes a leased config. A field missing from (a) aliases distinct
+simulations onto one store record; a field missing from (b) silently
+drops configuration on the wire, so a worker runs a different
+experiment than the coordinator leased.
 
 The pass parses the ExperimentConfig struct out of src/sim/experiment.h
-and checks `config.<field>` / `resolved.<field>` token references in
-the named function bodies. Struct-valued fields (mix, bh, sample) are
-recursed into for the protocol codec: their leaf fields must appear as
-`.<leaf>` references in both codec directions.
+and checks `config.<field>` / `resolved.<field>` / `self.<field>` token
+references in the named function bodies. Struct-valued fields (mix, bh,
+sample) are recursed into for the wire transfer, through the element
+type of a vector too (MixSpec::slots): their leaf fields must appear
+there as `.<leaf>` references.
 
 A field that deliberately stays out of the key carries::
 
@@ -75,21 +77,20 @@ def run(tree: SourceTree, report: Report) -> None:
                    CONFIG_STRUCT, "struct not found in header")
         return
 
-    def bodies(sf, name):
-        found = sf.find_functions(name)
+    def bodies(sf, name, cls=None):
+        found = sf.find_functions(name, cls)
         return "\n".join(b.body_text for b in found) if found else None
 
     key_cc = tree.file(key_path)
     proto_cc = tree.file(proto_path)
     key_text = bodies(key_cc, "experimentKey")
     resolve_text = bodies(key_cc, "resolveExperimentConfig")
-    encode_text = bodies(proto_cc, "experimentConfigToJson")
-    decode_text = bodies(proto_cc, "experimentConfigFromJson")
+    transfer_text = bodies(proto_cc, "transfer", CONFIG_STRUCT)
     for name, text, where in (
             ("experimentKey", key_text, KEY_SOURCE),
             ("resolveExperimentConfig", resolve_text, KEY_SOURCE),
-            ("experimentConfigToJson", encode_text, PROTOCOL_SOURCE),
-            ("experimentConfigFromJson", decode_text, PROTOCOL_SOURCE)):
+            (f"{CONFIG_STRUCT}::transfer", transfer_text,
+             PROTOCOL_SOURCE)):
         if text is None:
             report.add(CHECK, "missing-function", str(where), 1, name,
                        "function body required by the key-coverage "
@@ -121,45 +122,39 @@ def run(tree: SourceTree, report: Report) -> None:
                     "resolveExperimentConfig(); distinct configs "
                     "would alias one store record")
 
-        for direction, text in (("encode", encode_text),
-                                ("decode", decode_text)):
-            if _field_ref("config", member.name, text):
-                continue
+        if not _field_ref("self", member.name, transfer_text):
             if skip is not None:
                 report.note_skip(CHECK, rel, skip.line, member.name,
                                  skip.reason)
-                continue
-            report.add(
-                CHECK, f"field-not-in-{direction}", rel, member.line,
-                f"{CONFIG_STRUCT}::{member.name}",
-                f"field is not referenced in the protocol "
-                f"{direction} path "
-                f"(experimentConfig{'To' if direction == 'encode' else 'From'}"
-                f"Json); a leased config would drop it on the wire")
+            else:
+                report.add(
+                    CHECK, "field-not-in-transfer", rel, member.line,
+                    f"{CONFIG_STRUCT}::{member.name}",
+                    f"field is not named in the protocol transfer "
+                    f"({CONFIG_STRUCT}::transfer); a leased config "
+                    f"would drop it on the wire")
 
         # Recurse one structural level into struct-typed fields: their
         # leaves must cross the wire too.
         for leaf_owner, leaf in _leaves_of(member.type_text,
                                            struct_index):
             fields_checked += 1
-            for direction, text in (("encode", encode_text),
-                                    ("decode", decode_text)):
-                if _leaf_ref(leaf.name, text):
-                    continue
-                leaf_sf = struct_index[leaf_owner][0]
-                leaf_skip = leaf_sf.skip_for(leaf.name, line=leaf.line)
-                if leaf_skip is not None:
-                    report.note_skip(CHECK, tree.rel(leaf_sf.path),
-                                     leaf_skip.line, leaf.name,
-                                     leaf_skip.reason)
-                    continue
-                report.add(
-                    CHECK, f"field-not-in-{direction}",
-                    tree.rel(leaf_sf.path), leaf.line,
-                    f"{leaf_owner}::{leaf.name}",
-                    f"nested config field (via "
-                    f"{CONFIG_STRUCT}::{member.name}) is not "
-                    f"referenced in the protocol {direction} path")
+            if _leaf_ref(leaf.name, transfer_text):
+                continue
+            leaf_sf = struct_index[leaf_owner][0]
+            leaf_skip = leaf_sf.skip_for(leaf.name, line=leaf.line)
+            if leaf_skip is not None:
+                report.note_skip(CHECK, tree.rel(leaf_sf.path),
+                                 leaf_skip.line, leaf.name,
+                                 leaf_skip.reason)
+                continue
+            report.add(
+                CHECK, "field-not-in-transfer",
+                tree.rel(leaf_sf.path), leaf.line,
+                f"{leaf_owner}::{leaf.name}",
+                f"nested config field (via "
+                f"{CONFIG_STRUCT}::{member.name}) is not named in the "
+                f"protocol transfer")
     report.note_stats(CHECK, fields=fields_checked)
 
 
@@ -178,9 +173,9 @@ def _index_structs(tree: SourceTree) -> dict:
 
 def _leaves_of(type_text: str, struct_index: dict,
                seen: frozenset = frozenset()) -> list:
-    """(owner struct name, Member) leaves of a struct-typed field,
-    recursively."""
-    m = re.search(r"\b([A-Z]\w*)\s*$", type_text or "")
+    """(owner struct name, Member) leaves of a struct-typed field (or
+    of the element struct of a vector field), recursively."""
+    m = re.search(r"\b([A-Z]\w*)\s*>?\s*$", type_text or "")
     if m is None or m.group(1) not in struct_index or \
             m.group(1) in seen:
         return []

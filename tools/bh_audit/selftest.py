@@ -28,9 +28,7 @@ EXPECTED_VIOLATIONS = {
     ("snapshot-coverage", "member-not-serialized", "Widget::tuned"),
     ("key-coverage", "field-not-in-key",
      "ExperimentConfig::stealthFactor"),
-    ("key-coverage", "field-not-in-encode",
-     "ExperimentConfig::stealthFactor"),
-    ("key-coverage", "field-not-in-decode",
+    ("key-coverage", "field-not-in-transfer",
      "ExperimentConfig::stealthFactor"),
     ("determinism", "clock", "steady_clock::now"),
     ("determinism", "unordered-iter", "saveState(): for(... : table)"),
